@@ -2,10 +2,10 @@
 //! analyzer feeding a capacity sweep versus one dedicated LRU simulation
 //! per capacity, trace capture with versus without the up-front capacity
 //! reservation from the interpreter's static estimate, the tree-walking
-//! interpreter versus the compiled tape versus the register bytecode VM on
-//! the same programs, the dispatch-per-event sink path against the VM's
-//! batched-strip `record_batch` path, and the FNV hasher now used by the
-//! analyzer's maps against the std SipHash it replaced.
+//! interpreter versus the register bytecode VM on the same programs, the
+//! dispatch-per-event sink path against the VM's batched-strip
+//! `record_batch` path, and the FNV hasher now used by the analyzer's maps
+//! against the std SipHash it replaced.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gcr_cache::{Cache, CacheConfig, CapacitySweepSink};
@@ -106,16 +106,16 @@ fn bench_trace_capture(c: &mut Criterion) {
     g.finish();
 }
 
-/// The tree-walking interpreter against the compiled tape against the
-/// register bytecode VM on the same program, all with the null sink so the
-/// engine is all that is timed. The interpreter side also exercises the
+/// The tree-walking interpreter against the register bytecode VM on the
+/// same program, both with the null sink so the engine is all that is
+/// timed. The interpreter side also exercises the
 /// per-loop-entry `guards` scratch buffer hoisted into `Ctx`.
 fn bench_exec_engines(c: &mut Criterion) {
     let mut g = c.benchmark_group("exec_engine");
     let prog = gcr_apps::adi::program();
     let n = 96i64;
     g.sample_size(10);
-    for engine in [ExecEngine::Interp, ExecEngine::Compiled, ExecEngine::Vm] {
+    for engine in [ExecEngine::Interp, ExecEngine::Vm] {
         g.bench_function(engine.name(), |b| {
             b.iter(|| {
                 let mut m = Machine::new(&prog, ParamBinding::new(vec![n])).with_engine(engine);
@@ -129,7 +129,7 @@ fn bench_exec_engines(c: &mut Criterion) {
 
 /// A superinstruction-heavy workload (`examples/mmul.loop`: triple-nested
 /// inner product, one fused load-load-mul-reduce opcode per iteration)
-/// under full trace capture: the dispatch-per-event compiled tape against
+/// under full trace capture: the dispatch-per-event interpreter against
 /// the VM's batched strips.
 fn bench_mmul_capture(c: &mut Criterion) {
     let mut g = c.benchmark_group("mmul_capture");
@@ -139,7 +139,7 @@ fn bench_mmul_capture(c: &mut Criterion) {
     let prog = gcr_frontend::parse(&src).expect("mmul.loop parses");
     let n = 48i64;
     g.sample_size(10);
-    for engine in [ExecEngine::Compiled, ExecEngine::Vm] {
+    for engine in [ExecEngine::Interp, ExecEngine::Vm] {
         g.bench_function(engine.name(), |b| {
             let mut cap = TraceCapture::new();
             b.iter(|| {

@@ -17,7 +17,7 @@ use gcr_cli::Report;
 use gcr_core::checked::{apply_strategy_checked, apply_strategy_checked_traced, SafetyOptions};
 use gcr_core::pipeline::{apply_strategy, Strategy};
 use gcr_core::Tracer;
-use gcr_exec::{ExecStats, Machine, TraceSink};
+use gcr_exec::{ExecStats, Machine};
 use gcr_ir::{GcrError, ParamBinding};
 use gcr_reuse::distance::Histogram;
 use gcr_reuse::{DistanceSink, InstrTrace, TraceCapture};
@@ -217,33 +217,6 @@ pub fn per_ref_stats(prog: &gcr_ir::Program, bind: ParamBinding) -> gcr_reuse::R
     sink.analyzer.per_ref.clone()
 }
 
-/// A sink that counts accesses but also forwards to another sink.
-pub struct Tee<'a, A: TraceSink, B: TraceSink> {
-    /// First sink.
-    pub a: &'a mut A,
-    /// Second sink.
-    pub b: &'a mut B,
-}
-
-impl<A: TraceSink, B: TraceSink> TraceSink for Tee<'_, A, B> {
-    #[inline]
-    fn access(&mut self, ev: gcr_exec::AccessEvent) {
-        self.a.access(ev);
-        self.b.access(ev);
-    }
-
-    fn end_instance(&mut self, stmt: gcr_ir::StmtId) {
-        self.a.end_instance(stmt);
-        self.b.end_instance(stmt);
-    }
-
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        // Forward the batch whole so both sides keep their fast paths.
-        self.a.record_batch(batch);
-        self.b.record_batch(batch);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Text-table helpers
 // ---------------------------------------------------------------------------
@@ -324,24 +297,6 @@ mod tests {
             cycles: 500.0,
         };
         assert_eq!(m.rel(&base), [0.5, 0.5, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn tee_duplicates_events() {
-        use gcr_exec::{CountingSink, Machine, TraceSink};
-        let prog = gcr_apps::adi::program();
-        let mut m = Machine::new(&prog, ParamBinding::new(vec![10]));
-        let mut a = CountingSink::default();
-        let mut b = CountingSink::default();
-        {
-            let mut tee = Tee { a: &mut a, b: &mut b };
-            m.run(&mut tee);
-            // use the trait to silence the unused-import path
-            tee.end_instance(gcr_ir::StmtId::from_index(0));
-        }
-        assert_eq!(a.reads, b.reads);
-        assert_eq!(a.writes, b.writes);
-        assert!(a.reads > 0);
     }
 
     #[test]

@@ -490,12 +490,12 @@ pub fn measure_strategy_report_cached(
     size: i64,
     steps: usize,
 ) -> Result<(Measurement, Report, Vec<String>), GcrError> {
-    let engine = ExecEngine::from_env().unwrap_or_default();
+    let engine = ExecEngine::from_env()?;
     measure_strategy_report_cached_with(cache, generator, app, strategy, size, steps, engine)
 }
 
 /// [`measure_strategy_report_cached`] with an explicit execution engine.
-/// Both engines produce the identical measurement (the compiled tape is
+/// Both engines produce the identical measurement (the VM is
 /// observationally equivalent to the interpreter), so the cache key is
 /// engine-agnostic — the engine only changes how long a cold miss takes.
 #[allow(clippy::too_many_arguments)]
@@ -590,19 +590,24 @@ pub type JobResult = Result<(Measurement, Report, Vec<String>), GcrError>;
 /// Runs a job list on `threads` workers (0 = [`gcr_par::thread_count`],
 /// which honours `GCR_THREADS`). Results are returned in input order and
 /// each measurement is memoized in `cache`, so output is byte-identical
-/// across thread counts and repeat runs.
+/// across thread counts and repeat runs. The engine is `GCR_EXEC`'s; an
+/// unknown value fails every job with the usage error instead of silently
+/// measuring under the default engine.
 pub fn run_jobs(
     threads: usize,
     cache: &MeasureCache,
     generator: &str,
     jobs: &[SweepJob<'_>],
 ) -> Vec<JobResult> {
-    run_jobs_with(threads, cache, generator, jobs, ExecEngine::from_env().unwrap_or_default())
+    match ExecEngine::from_env() {
+        Ok(engine) => run_jobs_with(threads, cache, generator, jobs, engine),
+        Err(e) => jobs.iter().map(|_| Err(e.clone())).collect(),
+    }
 }
 
-/// [`run_jobs`] with an explicit execution engine for every job — how
-/// `sweep_bench` times a cold interpreter sweep against a cold compiled
-/// sweep without touching `GCR_EXEC` (env mutation is racy under threads).
+/// [`run_jobs`] with an explicit execution engine for every job — how a
+/// caller compares or pins engines without touching `GCR_EXEC` (env
+/// mutation is racy under threads).
 pub fn run_jobs_with(
     threads: usize,
     cache: &MeasureCache,
@@ -703,10 +708,10 @@ mod tests {
         let (jobs, _) = small_jobs(&apps);
         let interp_cache = MeasureCache::new();
         let interp = run_jobs_with(2, &interp_cache, "t", &jobs, ExecEngine::Interp);
-        let compiled_cache = MeasureCache::new();
-        let compiled = run_jobs_with(2, &compiled_cache, "t", &jobs, ExecEngine::Compiled);
-        assert_eq!(interp.len(), compiled.len());
-        for (i, c) in interp.iter().zip(&compiled) {
+        let vm_cache = MeasureCache::new();
+        let vm = run_jobs_with(2, &vm_cache, "t", &jobs, ExecEngine::Vm);
+        assert_eq!(interp.len(), vm.len());
+        for (i, c) in interp.iter().zip(&vm) {
             let (i, c) = (i.as_ref().unwrap(), c.as_ref().unwrap());
             assert_eq!(i.0.label, c.0.label);
             assert_eq!(i.0.stats, c.0.stats);
@@ -718,6 +723,10 @@ mod tests {
                 "engine choice must not leak into the report body"
             );
         }
+        // Nor into the cache key: the other engine's sweep is all hits.
+        let cold = interp_cache.misses();
+        run_jobs_with(2, &interp_cache, "t", &jobs, ExecEngine::Vm);
+        assert_eq!(interp_cache.misses(), cold, "engine choice must not leak into the cache key");
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub struct AssocResult {
 /// Unlike the reuse-distance sweep this costs one simulated cache per
 /// configuration, but each access is a bounded `assoc`-entry scan, so a
 /// handful of configurations stays within the same order of magnitude as
-/// the Fenwick-tree distance pass (BENCH_sweep.json records the ratio on
-/// the fig3 job set).
+/// the Fenwick-tree distance pass (`cache.fa_over_assoc` in `benchmark/`
+/// records the ratio).
 pub struct AssocSweepSink {
     caches: Vec<Cache>,
     refs: u64,

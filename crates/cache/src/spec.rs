@@ -27,8 +27,8 @@ use crate::levels::{Inclusion, MultiLevelCache, MultiLevelCounts, MultiLevelSink
 use crate::multicap::CapacitySweepSink;
 use crate::sim::CacheConfig;
 use crate::AssocSweepSink;
-use gcr_exec::{AccessEvent, DataLayout, ExecEngine, Machine, TraceSink};
-use gcr_ir::{GcrError, ParamBinding, Program, StmtId};
+use gcr_exec::{DataLayout, ExecEngine, Machine, Tee};
+use gcr_ir::{GcrError, ParamBinding, Program};
 
 /// A parsed, validated hierarchy descriptor.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -222,36 +222,6 @@ pub struct HierarchyRun {
     pub sweep: Vec<SweepBin>,
 }
 
-/// Three-way tee: the hierarchy model plus both sweep flavors share one
-/// trace pass.
-struct HierarchyTee {
-    model: MultiLevelSink,
-    fa: CapacitySweepSink,
-    sa: AssocSweepSink,
-}
-
-impl TraceSink for HierarchyTee {
-    #[inline]
-    fn access(&mut self, ev: AccessEvent) {
-        self.model.access(ev);
-        self.fa.access(ev);
-        self.sa.access(ev);
-    }
-
-    #[inline]
-    fn end_instance(&mut self, stmt: StmtId) {
-        self.model.end_instance(stmt);
-        self.fa.end_instance(stmt);
-        self.sa.end_instance(stmt);
-    }
-
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        self.model.record_batch(batch);
-        self.fa.record_batch(batch);
-        self.sa.record_batch(batch);
-    }
-}
-
 /// Runs `prog` once and measures the descriptor: multi-level counters
 /// plus FA and 4-way set-associative sweep bins, all from the same trace.
 #[allow(clippy::too_many_arguments)]
@@ -270,27 +240,27 @@ pub fn measure_hierarchy(
         .iter()
         .map(|&c| CacheConfig { size: c as usize, line: line as usize, assoc: 4 })
         .collect();
-    let mut tee = HierarchyTee {
-        model: MultiLevelSink::new(spec.build()),
-        fa: CapacitySweepSink::new(line, &caps),
-        sa: AssocSweepSink::new(&sa_configs),
-    };
+    // The hierarchy model plus both sweep flavors share one trace pass.
+    let mut model = MultiLevelSink::new(spec.build());
+    let mut fa = CapacitySweepSink::new(line, &caps);
+    let mut sa = AssocSweepSink::new(&sa_configs);
+    let mut sweeps = Tee { a: &mut fa, b: &mut sa };
     let mut m = Machine::with_layout(prog, binding, layout).with_engine(engine);
-    m.run_steps_guarded(&mut tee, steps, fuel)?;
+    m.run_steps_guarded(&mut Tee { a: &mut model, b: &mut sweeps }, steps, fuel)?;
     let sweep = caps
         .iter()
         .enumerate()
         .map(|(i, &c)| SweepBin {
             capacity: c,
-            fa_misses: tee.fa.misses(c),
-            assoc_misses: tee.sa.misses(i),
+            fa_misses: fa.misses(c),
+            assoc_misses: sa.misses(i),
         })
         .collect();
     Ok(HierarchyRun {
         spec: spec.describe(),
         configs: spec.levels.clone(),
         line,
-        counts: tee.model.model.counts(),
+        counts: model.model.counts(),
         sweep,
     })
 }

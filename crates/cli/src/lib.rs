@@ -78,7 +78,7 @@ pub struct Options {
     /// Interpreter fuel budget for oracle checks and `--simulate` runs.
     pub fuel: Option<u64>,
     /// Execution engine for `--simulate`, `--profile`, `--reuse-hist` and
-    /// `--mrc` runs (`None` defers to `GCR_EXEC` / the compiled default).
+    /// `--mrc` runs (`None` defers to `GCR_EXEC` / the `vm` default).
     pub exec: Option<ExecEngine>,
     /// Realistic hierarchy descriptor to measure (`--hierarchy`), e.g.
     /// `l1=8K/32/4,l2=64K/128/fa,prefetch=next-line`.
@@ -156,8 +156,7 @@ options:
                      --simulate (terminates runaway programs)
   --exec <engine>    execution engine for measurement runs: vm (default;
                      register bytecode VM with superinstructions and
-                     strip execution), compiled (bytecode tape with
-                     affine address walkers), or interp (the reference
+                     strip execution) or interp (the reference
                      tree-walking interpreter); overrides GCR_EXEC
 ";
 
@@ -393,7 +392,7 @@ pub fn run_source_with_diagnostics(
         let mut psink = o.profile.then(|| gcr_reuse::ProfileSink::elements(&opt.program));
         match psink.as_mut() {
             Some(p) => {
-                let mut tee = SinkPair { a: &mut sink, b: p };
+                let mut tee = gcr_exec::Tee { a: &mut sink, b: p };
                 m.run_steps_guarded(&mut tee, o.steps, fuel)?;
             }
             None => m.run_steps_guarded(&mut sink, o.steps, fuel)?,
@@ -564,32 +563,6 @@ fn prediction_section(
                     .collect(),
             })
             .collect(),
-    }
-}
-
-/// Feeds one interpreter pass to two sinks — how `--simulate --profile`
-/// measures both from a single run.
-struct SinkPair<'a, A: gcr_exec::TraceSink, B: gcr_exec::TraceSink> {
-    a: &'a mut A,
-    b: &'a mut B,
-}
-
-impl<A: gcr_exec::TraceSink, B: gcr_exec::TraceSink> gcr_exec::TraceSink for SinkPair<'_, A, B> {
-    #[inline]
-    fn access(&mut self, ev: gcr_exec::AccessEvent) {
-        self.a.access(ev);
-        self.b.access(ev);
-    }
-
-    fn end_instance(&mut self, stmt: gcr_ir::StmtId) {
-        self.a.end_instance(stmt);
-        self.b.end_instance(stmt);
-    }
-
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        // Forward the batch whole so both sides keep their fast paths.
-        self.a.record_batch(batch);
-        self.b.record_batch(batch);
     }
 }
 
@@ -806,16 +779,17 @@ for i = 1, N {
     fn parses_exec_flag() {
         let o = parse_args(&args(&["x.loop", "--exec", "interp"])).unwrap();
         assert_eq!(o.exec, Some(ExecEngine::Interp));
-        let o = parse_args(&args(&["x.loop", "--exec", "compiled"])).unwrap();
-        assert_eq!(o.exec, Some(ExecEngine::Compiled));
         let o = parse_args(&args(&["x.loop", "--exec", "vm"])).unwrap();
         assert_eq!(o.exec, Some(ExecEngine::Vm));
         assert_eq!(parse_args(&args(&["x.loop"])).unwrap().exec, None);
-        let err = parse_args(&args(&["x.loop", "--exec", "jit"])).unwrap_err();
-        assert!(
-            err.to_string().contains("interp|compiled|vm"),
-            "rejection must list valid engines: {err}"
-        );
+        // `compiled` named the tape executor until it was removed.
+        for bad in ["compiled", "jit"] {
+            let err = parse_args(&args(&["x.loop", "--exec", bad])).unwrap_err().to_string();
+            assert!(
+                err.contains("valid engines are interp|vm\n"),
+                "rejection of `{bad}` must list exactly the valid engines: {err}"
+            );
+        }
         assert!(parse_args(&args(&["x.loop", "--exec"])).is_err());
     }
 
@@ -869,10 +843,8 @@ for i = 1, N {
             run_source(SRC, &o).unwrap()
         };
         let a = run_with("interp");
-        let b = run_with("compiled");
-        let c = run_with("vm");
-        assert_eq!(a, b, "interp and compiled engines must report identical hierarchy counts");
-        assert_eq!(a, c, "interp and vm engines must report identical hierarchy counts");
+        let b = run_with("vm");
+        assert_eq!(a, b, "interp and vm engines must report identical hierarchy counts");
     }
 
     #[test]
@@ -885,10 +857,8 @@ for i = 1, N {
             run_source(SRC, &o).unwrap()
         };
         let a = run_with("interp");
-        let b = run_with("compiled");
-        let c = run_with("vm");
-        assert_eq!(a, b, "interp and compiled engines must report identical miss counts");
-        assert_eq!(a, c, "interp and vm engines must report identical miss counts");
+        let b = run_with("vm");
+        assert_eq!(a, b, "interp and vm engines must report identical miss counts");
     }
 
     #[test]

@@ -81,6 +81,12 @@ fn default_iters() -> u64 {
 }
 
 fn main() {
+    // Fail fast on a bad GCR_EXEC: the env-selected oracles would otherwise
+    // report every iteration as a failure and shrink each one.
+    if let Err(e) = gcr_exec::ExecEngine::from_env() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let args = parse_args();
     let names: Vec<&str> = args.oracles.iter().map(|o| o.name()).collect();
     eprintln!(

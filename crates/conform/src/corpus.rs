@@ -46,7 +46,7 @@ pub fn replay(src: &str) -> Result<(), String> {
     }
 
     // Plain run under the env-selected engine (the corpus must execute
-    // under both `GCR_EXEC=interp` and `GCR_EXEC=compiled`).
+    // under both `GCR_EXEC=interp` and `GCR_EXEC=vm`).
     let binding = ParamBinding::new(vec![12; prog.params.len()]);
     let mut m = gcr_exec::Machine::new(&prog, binding);
     m.run_steps_guarded(&mut gcr_exec::NullSink, 2, 50_000_000)

@@ -7,7 +7,7 @@
 //!
 //! | oracle | invariant | compared artifacts |
 //! |--------|-----------|--------------------|
-//! | [`Oracle::Engine`]   | interpreter ≡ compiled tape | event stream, stats, f64 bits, fuel |
+//! | [`Oracle::Engine`]   | interpreter ≡ bytecode VM | event stream, stats, f64 bits, fuel |
 //! | [`Oracle::Optimize`] | `optimize_checked` preserves semantics on every ladder rung | final array contents vs original |
 //! | [`Oracle::Sweep`]    | single-pass sweep ≡ per-capacity LRU; inclusion property | exact miss counts |
 //! | [`Oracle::Profile`]  | reuse profiles are internally consistent | histogram masses |
@@ -23,10 +23,10 @@ use gcr_ir::{ParamBinding, Program, StmtId};
 use gcr_reuse::{Histogram, ProfileSink, ReuseDistanceAnalyzer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// One of the six conformance oracles.
+/// One of the seven conformance oracles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Oracle {
-    /// Differential interpreter-vs-compiled execution.
+    /// Differential interpreter-vs-VM execution.
     Engine,
     /// Optimizer semantic preservation across the degradation ladder.
     Optimize,
@@ -94,7 +94,9 @@ pub fn run_oracle(oracle: Oracle, prog: &Program) -> Result<(), String> {
         Oracle::Profile => profile_consistency(prog),
         Oracle::Bound => fused_bound(prog),
         Oracle::Static => static_parity(prog),
-        Oracle::Assoc => assoc_parity(prog, ExecEngine::from_env().unwrap_or_default()),
+        Oracle::Assoc => ExecEngine::from_env()
+            .map_err(|e| e.to_string())
+            .and_then(|engine| assoc_parity(prog, engine)),
     }));
     match res {
         Ok(r) => r,
@@ -115,7 +117,7 @@ fn panic_msg(p: Box<dyn std::any::Any + Send>) -> String {
 // ---------------------------------------------------------------- oracle 1
 
 /// One observable event: a traced access or an instance boundary. The
-/// compiled engine must reproduce the interpreter's stream exactly.
+/// VM must reproduce the interpreter's stream exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
     Access { addr: u64, array: usize, ref_id: usize, stmt: usize, is_write: bool },
@@ -167,35 +169,29 @@ fn run_engine(
     Run { events: cap.0, stats: m.stats(), mem, outcome }
 }
 
-/// Oracle 1: the compiled tape engine *and* the register bytecode VM must
-/// each be observationally identical to the interpreter — same event
-/// stream (accesses *and* instance boundaries, in order), same statistics,
-/// bit-identical `f64` memory, and the same fuel-exhaustion behaviour —
-/// under several layouts. A three-way interp≡compiled≡vm check: both
-/// derived engines are differenced against the same reference runs.
+/// Oracle 1: the register bytecode VM must be observationally identical
+/// to the interpreter — same event stream (accesses *and* instance
+/// boundaries, in order), same statistics, bit-identical `f64` memory, and
+/// the same fuel-exhaustion behaviour — under several layouts.
 fn engine_diff(prog: &Program) -> Result<(), String> {
     let binding = ParamBinding::new(vec![12; prog.params.len()]);
     let layouts = [
         ("plain", DataLayout::column_major(prog, &binding, 0)),
         ("padded", DataLayout::column_major(prog, &binding, 64)),
     ];
-    let derived = [ExecEngine::Compiled, ExecEngine::Vm];
     for (label, layout) in &layouts {
         // The generated grammar stays inside the compiler's domain; a
         // fallback to the interpreter would silently void the comparison.
-        let mut probe = Machine::with_layout(prog, binding.clone(), layout.clone())
-            .with_engine(ExecEngine::Compiled);
+        let mut probe = Machine::with_layout(prog, binding.clone(), layout.clone());
         if !probe.compiles() {
             return Err(format!("program unexpectedly outside compiler domain ({label} layout)"));
         }
         for steps in [1usize, 2] {
             let a = run_engine(prog, &binding, layout, ExecEngine::Interp, steps, FUEL);
-            for engine in derived {
-                let b = run_engine(prog, &binding, layout, engine, steps, FUEL);
-                compare_runs(label, engine, steps, &a, &b)?;
-            }
+            let b = run_engine(prog, &binding, layout, ExecEngine::Vm, steps, FUEL);
+            compare_runs(label, steps, &a, &b)?;
         }
-        // Fuel parity: starve all engines with the fuel that lets the
+        // Fuel parity: starve both engines with the fuel that lets the
         // interpreter get roughly halfway, and require the identical
         // error and identical (prefix) event stream.
         let full = run_engine(prog, &binding, layout, ExecEngine::Interp, 1, FUEL);
@@ -203,48 +199,36 @@ fn engine_diff(prog: &Program) -> Result<(), String> {
         if spent > 2 {
             let short = spent / 2;
             let a = run_engine(prog, &binding, layout, ExecEngine::Interp, 1, short);
-            for engine in derived {
-                let b = run_engine(prog, &binding, layout, engine, 1, short);
-                if a.outcome != b.outcome {
-                    return Err(format!(
-                        "fuel {short} outcome diverged ({label}): interp {:?} vs {} {:?}",
-                        a.outcome,
-                        engine.name(),
-                        b.outcome
-                    ));
-                }
-                if a.events != b.events {
-                    return Err(format!(
-                        "fuel {short} event prefix diverged ({label}): interp {} events, {} {}",
-                        a.events.len(),
-                        engine.name(),
-                        b.events.len()
-                    ));
-                }
+            let b = run_engine(prog, &binding, layout, ExecEngine::Vm, 1, short);
+            if a.outcome != b.outcome {
+                return Err(format!(
+                    "fuel {short} outcome diverged ({label}): interp {:?} vs vm {:?}",
+                    a.outcome, b.outcome
+                ));
+            }
+            if a.events != b.events {
+                return Err(format!(
+                    "fuel {short} event prefix diverged ({label}): interp {} events, vm {}",
+                    a.events.len(),
+                    b.events.len()
+                ));
             }
         }
     }
     Ok(())
 }
 
-fn compare_runs(
-    label: &str,
-    engine: ExecEngine,
-    steps: usize,
-    a: &Run,
-    b: &Run,
-) -> Result<(), String> {
-    let name = engine.name();
+fn compare_runs(label: &str, steps: usize, a: &Run, b: &Run) -> Result<(), String> {
     if a.outcome != b.outcome {
         return Err(format!(
-            "outcome diverged ({label}, steps={steps}): interp {:?} vs {name} {:?}",
+            "outcome diverged ({label}, steps={steps}): interp {:?} vs vm {:?}",
             a.outcome, b.outcome
         ));
     }
     if a.events != b.events {
         let at = a.events.iter().zip(&b.events).position(|(x, y)| x != y);
         return Err(format!(
-            "event streams diverged ({label}, steps={steps}): interp {} events vs {name} {}, first diff at {:?}: {:?} vs {:?}",
+            "event streams diverged ({label}, steps={steps}): interp {} events vs vm {}, first diff at {:?}: {:?} vs {:?}",
             a.events.len(),
             b.events.len(),
             at,
@@ -254,7 +238,7 @@ fn compare_runs(
     }
     if a.stats != b.stats {
         return Err(format!(
-            "stats diverged ({label}, steps={steps}): interp {:?} vs {name} {:?}",
+            "stats diverged ({label}, steps={steps}): interp {:?} vs vm {:?}",
             a.stats, b.stats
         ));
     }
@@ -262,7 +246,7 @@ fn compare_runs(
         if ma != mb {
             let at = ma.iter().zip(mb).position(|(x, y)| x != y);
             return Err(format!(
-                "memory of array #{ai} diverged ({label}, {name}, steps={steps}) at element {at:?}"
+                "memory of array #{ai} diverged ({label}, vm, steps={steps}) at element {at:?}"
             ));
         }
     }
@@ -667,13 +651,10 @@ fn static_parity(prog: &Program) -> Result<(), String> {
     let caps: Vec<u64> = vec![64, 256];
     let steps = 2;
     let spec = gcr_static::SweepSpec::new(line, caps.clone(), steps);
-    let analyzer = match gcr_static::Analyzer::analyze_with(
-        prog,
-        spec,
-        ExecEngine::from_env().unwrap_or_default(),
-        FUEL,
-        |b| DataLayout::column_major(prog, b, 0),
-    ) {
+    let engine = ExecEngine::from_env().map_err(|e| e.to_string())?;
+    let analyzer = match gcr_static::Analyzer::analyze_with(prog, spec, engine, FUEL, |b| {
+        DataLayout::column_major(prog, b, 0)
+    }) {
         Ok(a) => a,
         Err(gcr_static::StaticError::NotAnalyzable { reason }) => {
             if gcr_static::has_guards(prog) {
@@ -740,26 +721,7 @@ fn static_parity(prog: &Program) -> Result<(), String> {
 
 // ---------------------------------------------------------------- oracle 7
 
-/// Tee feeding the fully-associative sweep and the set-associative fan-out
-/// from one pass, batches included (the VM engine emits strips).
-struct AssocCap {
-    fa: CapacitySweepSink,
-    sa: gcr_cache::AssocSweepSink,
-}
-
-impl TraceSink for AssocCap {
-    fn access(&mut self, ev: AccessEvent) {
-        self.fa.access(ev);
-        self.sa.access(ev);
-    }
-
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        self.fa.record_batch(batch);
-        self.sa.record_batch(batch);
-    }
-}
-
-/// Oracle 7, engine-parameterized so the corpus replay can pin all three
+/// Oracle 7, engine-parameterized so the corpus replay can pin both
 /// engines explicitly. Two laws of the exact set-associative simulator
 /// (see DESIGN.md §16 for why monotonicity pins the *set count*):
 ///
@@ -796,31 +758,31 @@ pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
         assoc: w,
     }));
 
-    let mut sink = AssocCap {
-        fa: CapacitySweepSink::new(line, &caps),
-        sa: gcr_cache::AssocSweepSink::new(&configs),
-    };
+    // One pass feeds both sweeps, batches included (the VM emits strips).
+    let mut fa = CapacitySweepSink::new(line, &caps);
+    let mut sa = gcr_cache::AssocSweepSink::new(&configs);
     let mut m = Machine::new(prog, binding).with_engine(engine);
-    m.run_steps_guarded(&mut sink, 2, FUEL).map_err(|e| format!("run failed: {e}"))?;
+    m.run_steps_guarded(&mut gcr_exec::Tee { a: &mut fa, b: &mut sa }, 2, FUEL)
+        .map_err(|e| format!("run failed: {e}"))?;
 
-    if sink.fa.refs() != sink.sa.refs() {
+    if fa.refs() != sa.refs() {
         return Err(format!(
             "FA sweep saw {} refs, set-associative sweep {}",
-            sink.fa.refs(),
-            sink.sa.refs()
+            fa.refs(),
+            sa.refs()
         ));
     }
     for (i, &cap) in caps.iter().enumerate() {
-        let (fa, sa) = (sink.fa.misses(cap), sink.sa.misses(i));
-        if fa != sa {
+        let (fa_misses, sa_misses) = (fa.misses(cap), sa.misses(i));
+        if fa_misses != sa_misses {
             return Err(format!(
-                "single set of {} lines (line {line}): set-associative {sa} misses, \
-                 FA sweep {fa}",
+                "single set of {} lines (line {line}): set-associative {sa_misses} misses, \
+                 FA sweep {fa_misses}",
                 cap / line
             ));
         }
     }
-    let ladder: Vec<u64> = (ladder_at..configs.len()).map(|i| sink.sa.misses(i)).collect();
+    let ladder: Vec<u64> = (ladder_at..configs.len()).map(|i| sa.misses(i)).collect();
     for (w, pair) in ladder.windows(2).enumerate() {
         if pair[1] > pair[0] {
             return Err(format!(

@@ -1,7 +1,7 @@
 //! Replays every committed corpus program through the conformance oracles.
 //!
-//! Run under every engine: `GCR_EXEC=interp cargo test -p gcr-conform`,
-//! `GCR_EXEC=compiled …`, and `GCR_EXEC=vm …`.
+//! Run under both engines: `GCR_EXEC=interp cargo test -p gcr-conform`
+//! and `GCR_EXEC=vm …`.
 
 use gcr_conform::corpus::{corpus_files, replay};
 
@@ -27,8 +27,8 @@ fn corpus_replays_clean() {
     assert!(bad.is_empty(), "corpus replay failures:\n{}", bad.join("\n"));
 }
 
-/// Static≡simulated parity across the whole corpus under *every* execution
-/// engine, explicitly — independent of whatever `GCR_EXEC` selects for
+/// Static≡simulated parity across the whole corpus under *both* execution
+/// engines, explicitly — independent of whatever `GCR_EXEC` selects for
 /// the rest of the suite. Exact-class models must match the simulator
 /// byte-for-byte; bounded ones within their own documented tolerance.
 #[test]
@@ -46,7 +46,7 @@ fn corpus_static_parity_under_all_engines() {
         if prog.params.len() > 1 {
             continue; // outside the univariate model's domain
         }
-        for engine in [ExecEngine::Interp, ExecEngine::Compiled, ExecEngine::Vm] {
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
             let spec = gcr_static::SweepSpec::new(line, caps.clone(), steps);
             let analyzer =
                 match gcr_static::Analyzer::analyze_with(&prog, spec, engine, fuel, |b| {
@@ -92,8 +92,8 @@ fn corpus_static_parity_under_all_engines() {
 }
 
 /// The `assoc` oracle (single-set ≡ FA byte equality + way monotonicity
-/// at fixed set count) must hold on every corpus program under every
-/// engine — the set-associative `record_batch` fast path included.
+/// at fixed set count) must hold on every corpus program under both
+/// engines — the set-associative `record_batch` fast path included.
 #[test]
 fn corpus_assoc_parity_under_all_engines() {
     use gcr_exec::ExecEngine;
@@ -101,7 +101,7 @@ fn corpus_assoc_parity_under_all_engines() {
     for path in corpus_files() {
         let src = std::fs::read_to_string(&path).unwrap();
         let prog = gcr_frontend::parse(&src).unwrap();
-        for engine in [ExecEngine::Interp, ExecEngine::Compiled, ExecEngine::Vm] {
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
             if let Err(e) = gcr_conform::assoc_parity(&prog, engine) {
                 panic!("{}: assoc oracle failed under {engine:?}: {e}", path.display());
             }

@@ -12,3 +12,18 @@ fn smoke_all_oracles() {
         .collect();
     assert!(msgs.is_empty(), "fuzz smoke failures:\n{}", msgs.join("\n---\n"));
 }
+
+/// An unknown `GCR_EXEC` — including `compiled`, an engine name until the
+/// tape executor was removed — must stop `gcr-fuzz` before it runs anything,
+/// not fall back to the default engine and report green.
+#[test]
+fn fuzz_rejects_unknown_gcr_exec() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_gcr-fuzz"))
+        .args(["--iters", "1", "--oracle", "engine"])
+        .env("GCR_EXEC", "compiled")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("interp|vm"), "{stderr}");
+}

@@ -1,4 +1,4 @@
-//! Lowering from the IR to the compiled tape of [`crate::tape`].
+//! Lowering from the IR to the tape of [`crate::tape`].
 //!
 //! Compilation is a single walk over the program body that resolves every
 //! quantity the interpreter re-derives at run time:
@@ -104,7 +104,7 @@ struct Lower<'a> {
     /// the bound prover for subscripts.
     ranges: Vec<(VarId, i64, i64)>,
     /// Id of the assignment currently being lowered (baked into read ops
-    /// so flat tapes can emit events without statement context).
+    /// so the op interpreter can emit events without statement context).
     cur_id: StmtId,
 }
 
@@ -437,10 +437,9 @@ impl Lower<'_> {
                         }
                     }
                 }
-                // Flat tape: when every active member is an unconditional
-                // statement, concatenate their op ranges with `Store`
-                // terminators and precompute the per-iteration fuel and
-                // statistic deltas the fast path charges in bulk.
+                // Flat segment: when every active member is an unconditional
+                // statement, precompute the per-iteration fuel and statistic
+                // deltas the VM's strip path charges in bulk.
                 let window: Vec<u32> = self.out.items[item_start as usize..item_end as usize]
                     .iter()
                     .filter_map(|it| match (it.kind, it.req) {
@@ -448,27 +447,15 @@ impl Lower<'_> {
                         _ => None,
                     })
                     .collect();
-                let all_stmts = window.len() == (item_end - item_start) as usize;
-                let mut flat = None;
+                let flat = !window.is_empty() && window.len() == (item_end - item_start) as usize;
                 let (mut flops, mut reads, mut writes) = (0u64, 0u64, 0u64);
-                if all_stmts && !window.is_empty() {
-                    let flat_start = self.out.ops.len() as u32;
+                if flat {
                     for &si in &window {
                         let s = self.out.stmts[si as usize];
-                        self.out.ops.extend_from_within(s.ops.0 as usize..s.ops.1 as usize);
-                        for op in &self.out.ops[s.ops.0 as usize..s.ops.1 as usize] {
-                            if matches!(
-                                op,
-                                Op::Read { .. }
-                                    | Op::ReadAdd { .. }
-                                    | Op::ReadSub { .. }
-                                    | Op::ReadMul { .. }
-                                    | Op::ReadMax { .. }
-                                    | Op::ReadMin { .. }
-                            ) {
-                                reads += 1;
-                            }
-                        }
+                        reads += self.out.ops[s.ops.0 as usize..s.ops.1 as usize]
+                            .iter()
+                            .filter(|op| op.traced_read_walker().is_some())
+                            .count() as u64;
                         if s.traced {
                             if s.reduce.is_some() {
                                 reads += 1;
@@ -476,9 +463,7 @@ impl Lower<'_> {
                             writes += 1;
                         }
                         flops += u64::from(s.flops);
-                        self.out.ops.push(Op::Store { si });
                     }
-                    flat = Some((flat_start, self.out.ops.len() as u32));
                 }
                 self.out.segments.push(Segment {
                     lo: a,

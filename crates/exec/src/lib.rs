@@ -17,15 +17,15 @@
 //! places arrays sequentially in column-major (Fortran) order; regrouped
 //! layouts interleave strides (see `gcr-core::regroup`).
 //!
-//! Three engines produce that trace: the tree-walking interpreter (the
-//! reference semantics); the compiled tape of [`mod@compile`]/[`tape`],
-//! which lowers a `(Program, ParamBinding, DataLayout)` triple once into a
-//! flat instruction stream with affine address walkers and guard-resolved
-//! iteration segments; and the register bytecode VM of [`mod@vm`], which
-//! selects superinstructions over the tape and executes guard-free inner
-//! segments in whole iteration strips, emitting access events in batches
-//! through [`machine::TraceSink::record_batch`]. All three are
-//! observationally identical; the engine is selected per
+//! Two engines produce that trace: the tree-walking interpreter (the
+//! reference semantics) and the register bytecode VM of [`mod@vm`]. The VM
+//! runs over the tape of [`mod@compile`]/[`tape`] — an intermediate form
+//! that lowers a `(Program, ParamBinding, DataLayout)` triple once into
+//! register op tapes with affine address walkers and guard-resolved
+//! iteration segments — selecting superinstructions over it and executing
+//! guard-free inner segments in whole iteration strips, emitting access
+//! events in batches through [`machine::TraceSink::record_batch`]. The two
+//! are observationally identical; the engine is selected per
 //! [`machine::Machine`] (explicitly, or via `GCR_EXEC`), and the VM is the
 //! default for all measurement runs.
 
@@ -39,7 +39,7 @@ pub use compile::compile;
 pub use layout::{ArrayLayout, DataLayout};
 pub use machine::{
     AccessEvent, BatchSlot, CountingSink, ExecEngine, ExecEstimate, ExecStats, Machine, NullSink,
-    TraceBatch, TraceSink,
+    Tee, TraceBatch, TraceSink,
 };
 pub use tape::CompiledProgram;
 pub use vm::VmPlan;

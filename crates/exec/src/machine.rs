@@ -145,6 +145,35 @@ pub trait TraceSink {
     }
 }
 
+/// Feeds one access stream to two sinks, so several measurements share a
+/// single execution pass. Nests for more: a `Tee` is itself a sink.
+/// Batches are forwarded whole, so both sides keep their fast paths.
+pub struct Tee<'a, A: TraceSink, B: TraceSink> {
+    /// First sink.
+    pub a: &'a mut A,
+    /// Second sink.
+    pub b: &'a mut B,
+}
+
+impl<A: TraceSink, B: TraceSink> TraceSink for Tee<'_, A, B> {
+    #[inline]
+    fn access(&mut self, ev: AccessEvent) {
+        self.a.access(ev);
+        self.b.access(ev);
+    }
+
+    #[inline]
+    fn end_instance(&mut self, stmt: StmtId) {
+        self.a.end_instance(stmt);
+        self.b.end_instance(stmt);
+    }
+
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+        self.a.record_batch(batch);
+        self.b.record_batch(batch);
+    }
+}
+
 /// Sink that ignores everything (pure execution).
 #[derive(Default)]
 pub struct NullSink;
@@ -219,36 +248,33 @@ pub struct ExecEstimate {
 
 /// Which execution engine a [`Machine`] runs.
 ///
-/// All three engines are observationally identical — same access-event
+/// Both engines are observationally identical — same access-event
 /// stream, bit-identical `f64` memory image, same statistics and fuel
-/// accounting — which the differential test suite and the three-way
+/// accounting — which the differential test suite and the interp≡vm
 /// conformance oracle enforce. The interpreter is the reference semantics;
-/// the compiled tape lowers dispatch per operation; the register VM lowers
-/// it further to one dispatch per iteration strip.
+/// the register VM is the fast producer, one dispatch per iteration strip.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecEngine {
     /// The tree-walking interpreter (reference semantics).
     Interp,
-    /// The compiled tape of [`mod@crate::compile`]: flat instruction stream,
-    /// affine address walkers, guard-resolved iteration segments.
-    Compiled,
     /// The register bytecode VM of [`mod@crate::vm`]: superinstructions
-    /// selected over the compiled tape plus vectorized strip execution with
-    /// batched event emission. Shares the tape's compilation domain; the
-    /// default for all measurement runs.
+    /// selected over the tape of [`mod@crate::compile`] (op tapes, affine
+    /// address walkers, guard-resolved iteration segments) plus vectorized
+    /// strip execution with batched event emission. Programs outside the
+    /// tape's compilation domain run on the interpreter; the default for
+    /// all measurement runs.
     #[default]
     Vm,
 }
 
 impl ExecEngine {
     /// The accepted engine names, for error messages.
-    pub const NAMES: &'static str = "interp|compiled|vm";
+    pub const NAMES: &'static str = "interp|vm";
 
     /// Parses an engine name as accepted by `GCR_EXEC` and `--exec`.
     pub fn parse(name: &str) -> Option<Self> {
         match name {
             "interp" => Some(ExecEngine::Interp),
-            "compiled" => Some(ExecEngine::Compiled),
             "vm" => Some(ExecEngine::Vm),
             _ => None,
         }
@@ -258,7 +284,6 @@ impl ExecEngine {
     pub fn name(self) -> &'static str {
         match self {
             ExecEngine::Interp => "interp",
-            ExecEngine::Compiled => "compiled",
             ExecEngine::Vm => "vm",
         }
     }
@@ -271,9 +296,15 @@ impl ExecEngine {
     /// environment variables are racy to set from a multi-threaded test
     /// harness.
     pub fn from_env() -> Result<Self, GcrError> {
-        match std::env::var("GCR_EXEC") {
-            Err(_) => Ok(ExecEngine::default()),
-            Ok(v) => ExecEngine::parse(&v).ok_or_else(|| {
+        Self::from_env_value(std::env::var("GCR_EXEC").ok().as_deref())
+    }
+
+    /// [`ExecEngine::from_env`] on an already-read `GCR_EXEC` value, so the
+    /// rejection is testable without touching the process environment.
+    fn from_env_value(value: Option<&str>) -> Result<Self, GcrError> {
+        match value {
+            None => Ok(ExecEngine::default()),
+            Some(v) => ExecEngine::parse(v).ok_or_else(|| {
                 GcrError::Usage(format!(
                     "unknown execution engine `{v}` in GCR_EXEC: valid engines are {}",
                     ExecEngine::NAMES
@@ -378,11 +409,10 @@ impl<'p> Machine<'p> {
         self.engine
     }
 
-    /// True when this machine's program compiled to the tape engine (after
-    /// forcing compilation). The VM shares the tape's domain exactly — its
-    /// lowering is total over compiled programs — so this answers for both
-    /// fast engines. A `false` under [`ExecEngine::Compiled`] or
-    /// [`ExecEngine::Vm`] means runs silently use the interpreter fallback.
+    /// True when this machine's program compiled to the tape (after
+    /// forcing compilation). The VM's lowering is total over compiled
+    /// programs, so a `false` under [`ExecEngine::Vm`] means runs silently
+    /// use the interpreter fallback.
     pub fn compiles(&mut self) -> bool {
         self.ensure_compiled();
         matches!(self.compiled, Some(Some(_)))
@@ -469,40 +499,22 @@ impl<'p> Machine<'p> {
         steps: usize,
         fuel: u64,
     ) -> Result<(), GcrError> {
-        match self.engine {
-            ExecEngine::Vm => {
-                self.ensure_vm();
-                if let (Some(Some(cp)), Some(Some(plan))) =
-                    (self.compiled.as_ref(), self.vm.as_ref())
-                {
-                    return crate::vm::run(
-                        cp,
-                        plan,
-                        &mut self.mem,
-                        &mut self.vars,
-                        &mut self.stats,
-                        sink,
-                        steps,
-                        fuel,
-                    );
-                }
-                // Outside the compiler's domain: fall through to the
-                // reference interpreter, which is total.
+        if self.engine == ExecEngine::Vm {
+            self.ensure_vm();
+            if let (Some(Some(cp)), Some(Some(plan))) = (self.compiled.as_ref(), self.vm.as_ref()) {
+                return crate::vm::run(
+                    cp,
+                    plan,
+                    &mut self.mem,
+                    &mut self.vars,
+                    &mut self.stats,
+                    sink,
+                    steps,
+                    fuel,
+                );
             }
-            ExecEngine::Compiled => {
-                self.ensure_compiled();
-                if let Some(Some(cp)) = self.compiled.as_ref() {
-                    return cp.run(
-                        &mut self.mem,
-                        &mut self.vars,
-                        &mut self.stats,
-                        sink,
-                        steps,
-                        fuel,
-                    );
-                }
-            }
-            ExecEngine::Interp => {}
+            // Outside the compiler's domain: fall through to the
+            // reference interpreter, which is total.
         }
         // Split borrows: body is part of prog (shared), the rest is mutable.
         let body = &self.prog.body;
@@ -850,8 +862,8 @@ struct Slot {
 
 /// Affine coefficients of the opaque intrinsics (`f`, `g`, … in the
 /// paper's examples): `(scale, bias)` applied to the argument sum. Shared
-/// with the compiled engine's `Intrinsic` op so both evaluate the exact
-/// same expression.
+/// with the tape's `Intrinsic` op so both engines evaluate the exact same
+/// expression.
 pub(crate) fn intrinsic_coeffs(name: &str) -> (f64, f64) {
     match name {
         "f" => (0.5, 1.0),
@@ -894,13 +906,30 @@ mod tests {
 
     #[test]
     fn engine_names_round_trip() {
-        for engine in [ExecEngine::Interp, ExecEngine::Compiled, ExecEngine::Vm] {
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
             assert_eq!(ExecEngine::parse(engine.name()), Some(engine));
             assert!(ExecEngine::NAMES.contains(engine.name()));
         }
+        assert_eq!(ExecEngine::NAMES, "interp|vm");
         assert_eq!(ExecEngine::parse("jit"), None);
         assert_eq!(ExecEngine::parse(""), None);
         assert_eq!(ExecEngine::default(), ExecEngine::Vm);
+    }
+
+    #[test]
+    fn unknown_gcr_exec_value_is_a_usage_error() {
+        assert_eq!(ExecEngine::from_env_value(None), Ok(ExecEngine::Vm));
+        assert_eq!(ExecEngine::from_env_value(Some("interp")), Ok(ExecEngine::Interp));
+        // `compiled` was an engine until the tape executor was removed: old
+        // scripts exporting it must fail, not silently run the VM.
+        for bad in ["compiled", "VM", ""] {
+            match ExecEngine::from_env_value(Some(bad)) {
+                Err(GcrError::Usage(msg)) => {
+                    assert!(msg.contains("interp|vm") && msg.contains("GCR_EXEC"), "{msg}")
+                }
+                other => panic!("GCR_EXEC={bad:?} must be rejected, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -916,6 +945,45 @@ mod tests {
         let a = m.read_array(gcr_ir::ArrayId::from_index(0));
         for i in 1..10 {
             assert!((a[i] - (0.5 * a[i - 1] + 1.0)).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn tee_feeds_both_sinks_the_whole_stream() {
+        /// Counts accesses and instance boundaries, batched or not.
+        #[derive(Default, Debug, PartialEq)]
+        struct Seen {
+            accesses: u64,
+            ends: u64,
+            batches: u64,
+        }
+        impl TraceSink for Seen {
+            fn access(&mut self, _ev: AccessEvent) {
+                self.accesses += 1;
+            }
+            fn end_instance(&mut self, _stmt: StmtId) {
+                self.ends += 1;
+            }
+            fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+                self.batches += 1;
+                self.accesses += batch.len() as u64;
+                self.ends += (batch.ends.len() * batch.iters as usize) as u64;
+            }
+        }
+        let p = chain_prog();
+        for engine in [ExecEngine::Interp, ExecEngine::Vm] {
+            let bind = ParamBinding::new(vec![40]);
+            let mut alone = Seen::default();
+            Machine::new(&p, bind.clone()).with_engine(engine).run(&mut alone);
+            let (mut a, mut b, mut c) = (Seen::default(), Seen::default(), Seen::default());
+            let mut inner = Tee { a: &mut b, b: &mut c };
+            let mut tee = Tee { a: &mut a, b: &mut inner };
+            Machine::new(&p, bind).with_engine(engine).run(&mut tee);
+            assert_eq!(alone.accesses, 78);
+            assert_eq!(alone.ends, 39);
+            // Batches arrive whole on every side, nested or not.
+            assert_eq!(alone.batches > 0, engine == ExecEngine::Vm);
+            assert_eq!([&a, &b, &c], [&alone; 3], "{}", engine.name());
         }
     }
 

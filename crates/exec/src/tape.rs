@@ -1,5 +1,7 @@
-//! The compiled execution engine: flat instruction tapes, affine address
-//! walkers, and guard-resolved iteration segments.
+//! The tape: the lowered intermediate form the VM engine consumes —
+//! register op tapes, affine address walkers, and guard-resolved iteration
+//! segments — plus the per-instance execution state the VM's exact path
+//! runs on.
 //!
 //! The tree-walking interpreter in [`crate::machine`] pays three taxes per
 //! dynamic statement instance: recursive `Expr` dispatch, a fresh
@@ -22,22 +24,22 @@
 //!   the iteration range on which the *set* of guard-active members is
 //!   constant — so the per-iteration loop runs guard-check-free (the
 //!   compile-time analogue of the paper's boundary splitting). Segments
-//!   whose members are all unconditional statements additionally get a
-//!   *flat tape*: the statements' ops concatenated with `Op::Store`
-//!   terminators, so one iteration is a single op-dispatch loop. Because a
-//!   flat segment's fuel and statistics per iteration are compile-time
-//!   constants, the executor charges them in bulk up front — the fast path
-//!   is only taken when the fuel budget provably cannot run out inside the
-//!   segment, so per-instance accounting is unobservable.
+//!   whose members are all unconditional statements are marked *flat* and
+//!   carry their per-iteration fuel and statistics as compile-time
+//!   constants, which is what lets the VM charge a whole strip up front.
 //!
-//! The engine is observationally identical to the interpreter: same
+//! The tape is an IR, not an engine: [`crate::vm`] walks its items, loops
+//! and segments, and the only code here that executes anything is the
+//! statement-instance core the VM calls into — `Exec::exec_ops` for
+//! statements with no superinstruction shape (`VInst::Micro`), and
+//! `Exec::store_tail` / `Exec::traced_read` / `Exec::spend` on the exact
+//! per-iteration path taken when fuel cannot cover a whole strip. That
+//! core is observationally identical to the interpreter: same
 //! [`AccessEvent`] stream (order and fields), bit-identical `f64` memory
 //! image (same FP evaluation order, including the division guard and the
 //! intrinsic call lowering), same [`ExecStats`], and the same fuel
 //! accounting — one unit per loop iteration plus one per assignment
-//! instance, spent in the same order. Segments in which no member can run
-//! spend their fuel in bulk, which is indistinguishable from per-iteration
-//! spending because empty iterations emit no events.
+//! instance, spent in the same order.
 
 use crate::layout::ELEM_BYTES;
 use crate::machine::{AccessEvent, ExecStats, TraceSink};
@@ -103,10 +105,21 @@ pub(crate) enum Op {
     ConstMax { d: u16, v: f64 },
     /// `regs[d] = regs[d].min(v)`.
     ConstMin { d: u16, v: f64 },
-    /// Flat-tape statement terminator: performs statement `si`'s store
-    /// (reduce read, memory write, write event, `end_instance`) with no
-    /// fuel or statistics updates — the flat path accounts those in bulk.
-    Store { si: u32 },
+}
+
+impl Op {
+    /// Walker of a traced-read op, if any.
+    pub(crate) fn traced_read_walker(&self) -> Option<u32> {
+        match *self {
+            Op::Read { w, .. }
+            | Op::ReadAdd { w, .. }
+            | Op::ReadSub { w, .. }
+            | Op::ReadMul { w, .. }
+            | Op::ReadMax { w, .. }
+            | Op::ReadMin { w, .. } => Some(w),
+            _ => None,
+        }
+    }
 }
 
 /// Affine address walker for one static array reference. The byte address
@@ -196,12 +209,12 @@ pub(crate) struct Segment {
     pub prime: (u32, u32),
     /// Per-iteration walker increments: `advance_list[start..end]`.
     pub advance: (u32, u32),
-    /// Flat tape (`ops[start..end]`) when every item is an unconditional
-    /// statement; `None` keeps the item-walking path.
-    pub flat: Option<(u32, u32)>,
-    /// Fuel per iteration of the flat tape: 1 + statement count.
+    /// True when every item is an unconditional statement (and there is
+    /// at least one): the per-iteration constants below are then exact.
+    pub flat: bool,
+    /// Fuel per iteration of a flat segment: 1 + statement count.
     pub iter_fuel: u64,
-    /// Statistic deltas per iteration of the flat tape.
+    /// Statistic deltas per iteration of a flat segment.
     pub iter_instances: u64,
     /// Flops per iteration.
     pub iter_flops: u64,
@@ -239,11 +252,11 @@ pub(crate) struct OuterCheck {
 
 /// A program lowered once against a `(ParamBinding, DataLayout)` pair.
 ///
-/// Produced by [`crate::compile::compile`]; executed by
-/// [`crate::machine::Machine`] when its engine is
-/// [`crate::machine::ExecEngine::Compiled`]. All loop bounds, guard
-/// intervals, and address strides are resolved to constants; only loop
-/// variables and the register file exist at run time.
+/// Produced by [`crate::compile::compile`]; planned by
+/// [`crate::vm::VmPlan::build`] and executed by [`crate::machine::Machine`]
+/// when its engine is [`crate::machine::ExecEngine::Vm`]. All loop bounds,
+/// guard intervals, and address strides are resolved to constants; only
+/// loop variables and the register file exist at run time.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledProgram {
     pub(crate) ops: Vec<Op>,
@@ -261,54 +274,11 @@ pub struct CompiledProgram {
     pub(crate) max_regs: usize,
 }
 
-impl CompiledProgram {
-    /// Number of tape instructions (statement tapes plus flat segment
-    /// tapes).
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Number of address walkers (static array references).
-    pub fn walker_count(&self) -> usize {
-        self.walkers.len()
-    }
-
-    /// Number of guard-resolved iteration segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Executes the body `steps` times against `mem`/`vars`, sharing one
-    /// fuel budget, streaming accesses to `sink`. Mirrors the
-    /// interpreter's `run_fueled` observably.
-    pub(crate) fn run<S: TraceSink>(
-        &self,
-        mem: &mut [f64],
-        vars: &mut [i64],
-        stats: &mut ExecStats,
-        sink: &mut S,
-        steps: usize,
-        fuel: u64,
-    ) -> Result<(), GcrError> {
-        let mut ex = Exec::new(self, mem, vars, fuel);
-        let mut result = Ok(());
-        for _ in 0..steps {
-            ex.prime(self.top_prime);
-            if let Err(e) = ex.run_items(self.top_items, 0, sink) {
-                result = Err(e);
-                break;
-            }
-        }
-        ex.flush_stats(stats);
-        result
-    }
-}
-
-/// Run-time state of one compiled execution. Statistics are owned
+/// Run-time state of one execution over a tape. Statistics are owned
 /// counters, flushed to the machine's [`ExecStats`] when the run ends.
-/// Shared with the VM engine ([`crate::vm`]), whose executor wraps this
-/// state and reuses the op interpreter, the walkers, and the fuel
-/// accounting.
+/// The VM executor ([`crate::vm`]) wraps this state and drives the op
+/// interpreter, the walkers, and the fuel accounting from its own item
+/// walk.
 pub(crate) struct Exec<'a> {
     pub(crate) cp: &'a CompiledProgram,
     pub(crate) mem: &'a mut [f64],
@@ -398,89 +368,8 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn run_items<S: TraceSink>(
-        &mut self,
-        range: (u32, u32),
-        inactive: u64,
-        sink: &mut S,
-    ) -> Result<(), GcrError> {
-        let cp = self.cp;
-        for it in &cp.items[range.0 as usize..range.1 as usize] {
-            if it.req & inactive != 0 {
-                continue;
-            }
-            match it.kind {
-                ItemKind::Stmt(si) => self.exec_stmt(si, sink)?,
-                ItemKind::Loop(li) => self.run_loop(li, sink)?,
-            }
-        }
-        Ok(())
-    }
-
-    fn run_loop<S: TraceSink>(&mut self, li: u32, sink: &mut S) -> Result<(), GcrError> {
-        let cp = self.cp;
-        let l = &cp.loops[li as usize];
-        // Outer conditions are loop-invariant: evaluate once into a mask,
-        // at the same point the interpreter evaluates its guard vector.
-        let mut inactive = 0u64;
-        for c in &cp.checks[l.checks.0 as usize..l.checks.1 as usize] {
-            let v = self.vars[c.slot as usize];
-            if v < c.lo || v > c.hi {
-                inactive |= c.bit;
-            }
-        }
-        for s in l.segments.0..l.segments.1 {
-            let seg = &cp.segments[s as usize];
-            // Fast path: a flat tape whose per-iteration fuel and stats
-            // are static, and enough fuel that exhaustion inside the
-            // segment is impossible — charge everything up front and run
-            // the iterations with no accounting at all.
-            if let Some(fr) = seg.flat {
-                let trips = (seg.hi - seg.lo + 1) as u64;
-                let cost = trips * seg.iter_fuel;
-                if self.fuel >= cost {
-                    self.fuel -= cost;
-                    self.instances += trips * seg.iter_instances;
-                    self.flops += trips * seg.iter_flops;
-                    self.reads += trips * seg.iter_reads;
-                    self.writes += trips * seg.iter_writes;
-                    self.vars[l.var as usize] = seg.lo;
-                    self.prime(seg.prime);
-                    let advance = &cp.advance_list[seg.advance.0 as usize..seg.advance.1 as usize];
-                    for t in seg.lo..=seg.hi {
-                        self.vars[l.var as usize] = t;
-                        self.exec_ops::<false, true, S>(fr, sink);
-                        for &(w, stride) in advance {
-                            self.wk[w as usize].cur += stride;
-                        }
-                    }
-                    continue;
-                }
-            }
-            let items = &cp.items[seg.items.0 as usize..seg.items.1 as usize];
-            if !items.iter().any(|it| it.req & inactive == 0) {
-                // Nothing can run here: charge the loop-iteration fuel and
-                // move on without touching walkers or variables.
-                self.spend_bulk((seg.hi - seg.lo + 1) as u64)?;
-                continue;
-            }
-            self.vars[l.var as usize] = seg.lo;
-            self.prime(seg.prime);
-            let advance = &cp.advance_list[seg.advance.0 as usize..seg.advance.1 as usize];
-            for t in seg.lo..=seg.hi {
-                self.spend()?;
-                self.vars[l.var as usize] = t;
-                self.run_items(seg.items, inactive, sink)?;
-                for &(w, stride) in advance {
-                    self.wk[w as usize].cur += stride;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Reads through walker `w` and returns the value. `COUNT` selects
-    /// per-access statistics (the exact path); the flat path accounts
+    /// per-access statistics (the exact path); the VM's strip path accounts
     /// statistics in bulk per segment. `EMIT` selects event emission —
     /// false on the VM's strip-compute pass, whose events are emitted
     /// separately in batches.
@@ -508,7 +397,7 @@ impl<'a> Exec<'a> {
     }
 
     /// Runs one op range. Infallible: fuel is spent by the callers
-    /// (per-instance on the exact path, in bulk on the flat path).
+    /// (per-instance on the exact path, in bulk on the strip path).
     #[inline(always)]
     pub(crate) fn exec_ops<const COUNT: bool, const EMIT: bool, S: TraceSink>(
         &mut self,
@@ -599,10 +488,6 @@ impl<'a> Exec<'a> {
                 Op::ConstMin { d, v } => {
                     self.regs[d as usize & REG_MASK] = self.regs[d as usize & REG_MASK].min(v);
                 }
-                Op::Store { si } => {
-                    let s = cp.stmts[si as usize];
-                    self.store_tail::<COUNT, EMIT, S>(s, sink);
-                }
             }
         }
     }
@@ -671,13 +556,5 @@ impl<'a> Exec<'a> {
         if EMIT {
             sink.end_instance(s.id);
         }
-    }
-
-    fn exec_stmt<S: TraceSink>(&mut self, si: u32, sink: &mut S) -> Result<(), GcrError> {
-        self.spend()?;
-        let s = self.cp.stmts[si as usize];
-        self.exec_ops::<true, true, S>(s.ops, sink);
-        self.store_tail::<true, true, S>(s, sink);
-        Ok(())
     }
 }

@@ -1,10 +1,11 @@
 //! The register bytecode VM: superinstruction selection over the compiled
 //! tape and vectorized strip execution with batched event emission.
 //!
-//! The tape engine ([`crate::tape`]) already lowered expression trees to
-//! linear op tapes over an untagged register file, but it still pays one
-//! dispatch per scalar op and one virtual sink call per access event. This
-//! engine removes both taxes where the tape's own analysis proves it safe:
+//! The tape ([`crate::tape`]) already lowers expression trees to linear op
+//! tapes over an untagged register file, but executed op by op it still
+//! pays one dispatch per scalar op and one virtual sink call per access
+//! event. This engine removes both taxes where the tape's own analysis
+//! proves it safe:
 //!
 //! * **Superinstructions.** Each compiled statement's op tape is pattern
 //!   matched once into a single `VInst`: constant fills, copies, fused
@@ -38,14 +39,13 @@
 //!   strip — one `SItem::Prime` step re-bases the inner walkers per
 //!   trip, and strips run as long as the parent loop.
 //!
-//! Observational equivalence with the interpreter and the tape is
-//! non-negotiable and enforced by the differential test suite and the
-//! three-way conformance oracle: identical `AccessEvent` streams
-//! (including `end_instance` interleaving), bit-identical `f64` memory,
-//! identical [`ExecStats`], and identical fuel accounting. The strip path
-//! is taken only when the remaining fuel provably covers the whole segment
-//! — the same rule as the tape's flat path — so exhaustion inside a strip
-//! is impossible and partial runs take the exact per-event path.
+//! Observational equivalence with the interpreter is non-negotiable and
+//! enforced by the differential test suite and the interp≡vm conformance
+//! oracle: identical `AccessEvent` streams (including `end_instance`
+//! interleaving), bit-identical `f64` memory, identical [`ExecStats`], and
+//! identical fuel accounting. The strip path is taken only when the
+//! remaining fuel provably covers the whole segment, so exhaustion inside
+//! a strip is impossible and partial runs take the exact per-event path.
 
 use crate::layout::ELEM_BYTES;
 use crate::machine::{BatchSlot, ExecStats, NullSink, TraceBatch, TraceSink};
@@ -225,7 +225,7 @@ struct Strip {
 /// A compiled program's VM lowering: superinstructions for every statement
 /// plus strip plans for every flat segment. Built once per
 /// [`CompiledProgram`] by [`VmPlan::build`] and cached by the machine; the
-/// lowering is total, so the VM runs exactly the programs the tape runs.
+/// lowering is total, so the VM runs exactly the programs that compile.
 #[derive(Clone, Debug)]
 pub struct VmPlan {
     vstmts: Vec<VInst>,
@@ -307,7 +307,7 @@ impl VmPlan {
                     }
                     let ms = l2.segments.0;
                     let m = &cp.segments[ms as usize];
-                    if m.flat.is_none() || m.hi - m.lo + 1 > UNROLL_MAX {
+                    if !m.flat || m.hi - m.lo + 1 > UNROLL_MAX {
                         return;
                     }
                     unrolled = true;
@@ -334,7 +334,7 @@ impl VmPlan {
                     flops += u64::from(s.flops);
                     reads += cp.ops[s.ops.0 as usize..s.ops.1 as usize]
                         .iter()
-                        .filter(|op| traced_read_walker(op).is_some())
+                        .filter(|op| op.traced_read_walker().is_some())
                         .count() as u64;
                     if s.traced {
                         if s.reduce.is_some() {
@@ -439,7 +439,7 @@ impl VmPlan {
         let s = &cp.stmts[si as usize];
         let mut n = 0u32;
         for op in &cp.ops[s.ops.0 as usize..s.ops.1 as usize] {
-            if let Some(w) = traced_read_walker(op) {
+            if let Some(w) = op.traced_read_walker() {
                 self.slots.push(EvSlot {
                     w,
                     stride: pstride(cp, w, var),
@@ -482,25 +482,12 @@ fn pstride(cp: &CompiledProgram, w: u32, var: u16) -> i64 {
     cp.walkers[w as usize].terms.iter().filter(|&&(slot, _)| slot == var).map(|&(_, st)| st).sum()
 }
 
-/// Walker of a traced-read op, if any.
-fn traced_read_walker(op: &Op) -> Option<u32> {
-    match *op {
-        Op::Read { w, .. }
-        | Op::ReadAdd { w, .. }
-        | Op::ReadSub { w, .. }
-        | Op::ReadMul { w, .. }
-        | Op::ReadMax { w, .. }
-        | Op::ReadMin { w, .. } => Some(w),
-        _ => None,
-    }
-}
-
 /// Walker of any memory-touching op (traced or scalar) — the dependence
 /// check must see scalar reads too.
 fn any_read_walker(op: &Op) -> Option<u32> {
     match *op {
         Op::ReadScalar { w, .. } => Some(w),
-        _ => traced_read_walker(op),
+        _ => op.traced_read_walker(),
     }
 }
 
@@ -738,12 +725,12 @@ fn op_rows(op: &Op) -> usize {
         | Op::ConstDiv { d, .. }
         | Op::ConstMax { d, .. }
         | Op::ConstMin { d, .. } => d as usize + 1,
-        Op::Store { .. } => 0,
     }
 }
 
-/// Executes a compiled program under the VM plan. Mirrors
-/// [`CompiledProgram`]'s `run` observably.
+/// Executes a compiled program under the VM plan: the body `steps` times
+/// against `mem`/`vars`, sharing one fuel budget, streaming accesses to
+/// `sink`. Mirrors the interpreter's `run_fueled` observably.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run<S: TraceSink>(
     cp: &CompiledProgram,
@@ -835,9 +822,9 @@ impl VmExec<'_> {
             let seg = &cp.segments[s as usize];
             // Strip path: a planned guard-free segment with enough fuel
             // that exhaustion inside it is impossible — charge fuel and
-            // statistics in bulk (the tape's flat-path rule, extended to
-            // cover unrolled inner-loop iterations) and run whole
-            // iteration strips per dispatch.
+            // statistics in bulk (the flat segment's per-iteration
+            // constants, extended to cover unrolled inner-loop iterations)
+            // and run whole iteration strips per dispatch.
             if let Some(strip) = &self.plan.strips[s as usize] {
                 let trips = (seg.hi - seg.lo + 1) as u64;
                 let cost = trips * strip.iter_fuel;
@@ -1078,8 +1065,8 @@ impl VmExec<'_> {
     /// each tape op runs once, as a tight loop over all `len` iterations
     /// on a row of the vector register file, then the store phase commits
     /// row 0 in ascending iteration order. One dispatch per op per strip
-    /// instead of per iteration — the vectorized form of the tape's inner
-    /// loop. Admitted by [`micro_vec_ok`] only when the schedule change
+    /// instead of per iteration — the vectorized form of `Exec::exec_ops`.
+    /// Admitted by [`micro_vec_ok`] only when the schedule change
     /// (a strip's reads before its stores) is unobservable; each element
     /// still runs the exact op sequence of the tape, so memory is
     /// bit-identical.
@@ -1164,8 +1151,6 @@ impl VmExec<'_> {
                     Op::ConstDiv { d, v } => map!(d, |x: f64| x / v),
                     Op::ConstMax { d, v } => map!(d, |x: f64| x.max(v)),
                     Op::ConstMin { d, v } => map!(d, |x: f64| x.min(v)),
-                    // Statement op ranges never contain flat-tape stores.
-                    Op::Store { .. } => unreachable!("Store inside a statement tape"),
                 }
             }
         }
@@ -1263,7 +1248,7 @@ impl VmExec<'_> {
 
     /// Exact-path statement execution: superinstruction dispatch with
     /// per-event emission and per-access accounting — event-for-event
-    /// identical to the tape's per-op path.
+    /// identical to the interpreter.
     fn exec_stmt<S: TraceSink>(&mut self, si: u32, sink: &mut S) -> Result<(), GcrError> {
         self.ex.spend()?;
         let cp = self.ex.cp;

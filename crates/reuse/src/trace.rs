@@ -6,7 +6,8 @@
 //! [`gcr_exec::TraceSink`] that records the trace in CSR form.
 //!
 //! Capture has two paths. Per-event calls (`access`/`end_instance`, the
-//! interpreter and compiled tape) append straight to the flat CSR vectors.
+//! interpreter and the VM's exact path) append straight to the flat CSR
+//! vectors.
 //! Batched calls ([`gcr_exec::TraceSink::record_batch`], the VM's strip
 //! engine) append the *compressed affine form* — one [`gcr_exec::BatchSlot`]
 //! descriptor per event position instead of one record per event, two
@@ -14,8 +15,8 @@
 //! materialized lazily by [`TraceCapture::trace`]/[`TraceCapture::finish`],
 //! which expand the deferred batches in stream order; engines that never
 //! batch pay nothing. The materialized stream is byte-identical to what the
-//! per-event path records (the sweep harness hashes all three engines'
-//! traces against each other).
+//! per-event path records (the conformance engine oracle compares the two
+//! engines' streams event for event).
 
 use gcr_exec::{AccessEvent, BatchSlot, TraceSink};
 use gcr_ir::{RefId, StmtId};

@@ -21,9 +21,9 @@
 //! no request outlives its deadline unanswered, non-faulted requests are
 //! byte-deterministic, and a corrupted cache self-heals on reload.
 //!
-//! Binaries: `gcr-serve` (the daemon), `gcr-chaos` (the fault-injection
-//! campaign driver), `serve_bench` (latency/throughput/shed-rate
-//! benchmark feeding the `serve` section of `BENCH_sweep.json`).
+//! Binaries: `gcr-serve` (the daemon) and `gcr-chaos` (the
+//! fault-injection campaign driver). Latency and throughput are recorded
+//! by the `serve-mix` workload of `benchmark/`.
 
 pub mod chaos;
 pub mod proto;

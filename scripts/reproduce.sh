@@ -24,7 +24,3 @@ done
 echo "== fig10 --ablation =="
 cargo run --release -q -p gcr-bench --bin fig10 -- --ablation \
   --json results/fig10_ablation.json | tee -- results/fig10_ablation.txt
-echo "== sweep_bench =="
-cargo run --release -q -p gcr-bench --bin sweep_bench
-echo "== serve_bench =="
-cargo run --release -q -p gcr-serve --bin serve_bench
