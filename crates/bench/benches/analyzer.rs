@@ -1,11 +1,11 @@
-//! Microbenchmarks of the single-pass measurement path: the reuse-distance
-//! analyzer feeding a capacity sweep versus one dedicated LRU simulation
-//! per capacity, trace capture with versus without the up-front capacity
-//! reservation from the interpreter's static estimate, the tree-walking
-//! interpreter versus the register bytecode VM on the same programs, the
-//! dispatch-per-event sink path against the VM's batched-strip
-//! `record_batch` path, and the FNV hasher now used by the analyzer's maps
-//! against the std SipHash it replaced.
+//! Microbenchmarks of the single-pass measurement path: the marker-list
+//! capacity sweep (one truncated LRU list answering every capacity) versus
+//! one dedicated LRU simulation per capacity, trace capture with versus
+//! without the up-front capacity reservation from the interpreter's static
+//! estimate, the tree-walking interpreter versus the register bytecode VM
+//! on the same programs, the dispatch-per-event sink path against the VM's
+//! batched-strip `record_batch` path, and the FNV hasher used by the
+//! reuse-distance analyzer's maps against the std SipHash it replaced.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gcr_cache::{Cache, CacheConfig, CapacitySweepSink};
@@ -42,8 +42,9 @@ fn event(addr: u64) -> AccessEvent {
     }
 }
 
-/// One analyzer pass answering eight capacities at once, against eight
-/// dedicated fully-associative LRU simulations of the same stream.
+/// One `CapacitySweepSink` pass answering eight capacities at once,
+/// against eight dedicated fully-associative LRU simulations of the same
+/// stream (the largest a 128-way scan per access).
 fn bench_capacity_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("capacity_sweep");
     let n = 100_000usize;

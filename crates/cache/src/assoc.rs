@@ -44,11 +44,11 @@ pub struct AssocResult {
 
 /// One access stream fanned out to many exact set-associative LRU caches.
 ///
-/// Unlike the reuse-distance sweep this costs one simulated cache per
-/// configuration, but each access is a bounded `assoc`-entry scan, so a
-/// handful of configurations stays within the same order of magnitude as
-/// the Fenwick-tree distance pass (`cache.fa_over_assoc` in `benchmark/`
-/// records the ratio).
+/// Unlike the fully-associative sweep, whose one marker list answers
+/// every capacity, this costs one simulated cache per configuration; each
+/// access is a bounded `assoc`-entry scan per configuration, so a handful
+/// of narrow configurations costs a small multiple of the FA pass
+/// (`cache.fa_over_assoc` in `benchmark/` records the ratio).
 pub struct AssocSweepSink {
     caches: Vec<Cache>,
     refs: u64,

@@ -28,12 +28,179 @@
 //! scheme would, and [`MultiLevelCounts::prefetches`] counts only lines
 //! actually brought in (already-resident next lines are free).
 //!
+//! A level with more than 64 ways per set (in practice an `fa` level of
+//! hundreds of lines) keeps each set as an indexed LRU list instead of
+//! [`Cache`]'s scanned vector; the choice follows from the geometry alone
+//! and the two are interchangeable call for call, which the
+//! `wide_level_matches_narrow_cache` test holds them to.
+//!
 //! All orderings above are fixed and documented because the simulation is
 //! golden-tested: the same trace must produce the same counters on every
 //! platform and thread count.
 
-use crate::sim::{Cache, CacheConfig};
+use crate::lru::LruSlab;
+use crate::sim::{Cache, CacheConfig, Victim};
 use gcr_exec::{AccessEvent, TraceSink};
+
+/// Ways per set up to which a level is a [`Cache`]: an MRU-ordered vector
+/// that a lookup scans. 64 is the widest geometry the scan is known to
+/// win at (the paper's fully associative TLB, which hits near the front);
+/// the hierarchy levels beyond it are `fa` levels of hundreds of ways,
+/// where every miss scans the whole set twice and memmoves it once.
+/// DESIGN.md §17 ADR 3 has the measurements.
+const WIDE_ASSOC: usize = 64;
+
+/// One level of a [`MultiLevelCache`]: the stat-neutral line-movement
+/// subset of [`Cache`]'s interface, over either representation.
+#[derive(Clone, Debug)]
+enum Level {
+    Narrow(Cache),
+    Wide(WideCache),
+}
+
+impl Level {
+    fn new(cfg: CacheConfig) -> Self {
+        if cfg.assoc > WIDE_ASSOC {
+            Level::Wide(WideCache::new(cfg))
+        } else {
+            Level::Narrow(Cache::new(cfg))
+        }
+    }
+
+    fn config(&self) -> CacheConfig {
+        match self {
+            Level::Narrow(c) => c.config(),
+            Level::Wide(c) => c.cfg,
+        }
+    }
+
+    #[inline]
+    fn contains(&self, addr: u64) -> bool {
+        match self {
+            Level::Narrow(c) => c.contains(addr),
+            Level::Wide(c) => c.contains(addr),
+        }
+    }
+
+    #[inline]
+    fn fill(&mut self, addr: u64, dirty: bool) -> Victim {
+        match self {
+            Level::Narrow(c) => c.fill(addr, dirty),
+            Level::Wide(c) => c.fill(addr, dirty),
+        }
+    }
+
+    #[inline]
+    fn extract(&mut self, addr: u64) -> Option<bool> {
+        match self {
+            Level::Narrow(c) => c.extract(addr),
+            Level::Wide(c) => c.extract(addr),
+        }
+    }
+
+    #[inline]
+    fn mark_dirty(&mut self, addr: u64) -> bool {
+        match self {
+            Level::Narrow(c) => c.mark_dirty(addr),
+            Level::Wide(c) => c.mark_dirty(addr),
+        }
+    }
+
+    #[inline]
+    fn invalidate_range(&mut self, addr: u64, len: u64) -> u64 {
+        match self {
+            Level::Narrow(c) => c.invalidate_range(addr, len),
+            Level::Wide(c) => c.invalidate_range(addr, len),
+        }
+    }
+}
+
+/// A set-associative LRU level with sets too wide to scan: the same
+/// contents, recency order, victims and dirty bits as a [`Cache`] of the
+/// same geometry, each operation a constant number of steps. Every set
+/// is one list of a shared [`LruSlab`], keyed by line number (which
+/// includes the set index, so keys are unique across sets); a node's tag
+/// is its dirty bit.
+#[derive(Clone, Debug)]
+struct WideCache {
+    cfg: CacheConfig,
+    line_shift: u32,
+    set_mask: u64,
+    lru: LruSlab,
+    /// Resident lines per set.
+    len: Vec<usize>,
+}
+
+impl WideCache {
+    fn new(cfg: CacheConfig) -> Self {
+        let sets = cfg.checked_sets();
+        WideCache {
+            cfg,
+            line_shift: cfg.line.trailing_zeros(),
+            set_mask: sets as u64 - 1,
+            lru: LruSlab::new(sets),
+            len: vec![0; sets],
+        }
+    }
+
+    /// `(line number, set)` of `addr`; the set doubles as its list.
+    #[inline]
+    fn locate(&self, addr: u64) -> (u64, u32) {
+        let block = addr >> self.line_shift;
+        (block, (block & self.set_mask) as u32)
+    }
+
+    #[inline]
+    fn contains(&self, addr: u64) -> bool {
+        let (block, set) = self.locate(addr);
+        self.lru.find(set, block).is_some()
+    }
+
+    fn fill(&mut self, addr: u64, dirty: bool) -> Victim {
+        let (block, set) = self.locate(addr);
+        if let Some(i) = self.lru.find(set, block) {
+            self.lru.move_to_front(set, i);
+            self.lru.set_tag(i, self.lru.tag(i) | dirty as u32);
+            return None;
+        }
+        if self.len[set as usize] < self.cfg.assoc {
+            self.len[set as usize] += 1;
+            self.lru.insert_front(set, block, dirty as u32);
+            return None;
+        }
+        let lru = self.lru.tail(set);
+        let victim = (self.lru.key(lru) << self.line_shift, self.lru.tag(lru) != 0);
+        self.lru.rekey_front(set, lru, block, dirty as u32);
+        Some(victim)
+    }
+
+    fn extract(&mut self, addr: u64) -> Option<bool> {
+        let (block, set) = self.locate(addr);
+        let i = self.lru.find(set, block)?;
+        let dirty = self.lru.tag(i) != 0;
+        self.lru.remove(i);
+        self.len[set as usize] -= 1;
+        Some(dirty)
+    }
+
+    fn mark_dirty(&mut self, addr: u64) -> bool {
+        let (block, set) = self.locate(addr);
+        match self.lru.find(set, block) {
+            Some(i) => {
+                self.lru.set_tag(i, 1);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn invalidate_range(&mut self, addr: u64, len: u64) -> u64 {
+        let first = addr >> self.line_shift;
+        let last = (addr + len.max(1) - 1) >> self.line_shift;
+        (first..=last).filter(|&block| self.extract(block << self.line_shift) == Some(true)).count()
+            as u64
+    }
+}
 
 /// Inclusion policy coupling the levels of a [`MultiLevelCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -109,7 +276,7 @@ pub struct MultiLevelCounts {
 /// A two- or three-level exact LRU hierarchy under one inclusion policy.
 #[derive(Clone, Debug)]
 pub struct MultiLevelCache {
-    levels: Vec<Cache>,
+    levels: Vec<Level>,
     inclusion: Inclusion,
     prefetch: Prefetch,
     counts: Vec<LevelCounts>,
@@ -147,7 +314,7 @@ impl MultiLevelCache {
             );
         }
         MultiLevelCache {
-            levels: configs.iter().map(|&c| Cache::new(c)).collect(),
+            levels: configs.iter().map(|&c| Level::new(c)).collect(),
             inclusion,
             prefetch,
             counts: vec![LevelCounts::default(); configs.len()],
@@ -388,6 +555,8 @@ mod tests {
     use super::*;
     use gcr_exec::{ExecEngine, Machine};
     use gcr_ir::ParamBinding;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     const SRC: &str = "
 program p
@@ -563,5 +732,61 @@ for i = 2, N {
         m.access_rw(64, false); // L2 evicts 0 (dirty) -> memory
         m.access_rw(96, false);
         assert_eq!(m.counts().memory_writebacks, 1);
+    }
+
+    #[test]
+    fn wide_levels_are_chosen_by_geometry() {
+        let fa = |lines: usize| CacheConfig { size: lines * 32, line: 32, assoc: lines };
+        assert!(matches!(Level::new(fa(64)), Level::Narrow(_)));
+        assert!(matches!(Level::new(fa(65)), Level::Wide(_)));
+        assert!(matches!(
+            Level::new(CacheConfig { size: 1 << 16, line: 32, assoc: 8 }),
+            Level::Narrow(_)
+        ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A wide level and a narrow `Cache` of the same geometry, driven
+        /// by the same calls, agree on every return value and victim —
+        /// from empty, through full sets, down to the final recency order.
+        #[test]
+        fn wide_level_matches_narrow_cache(
+            geometry in prop_oneof![
+                (65usize..=1024, Just(1usize)),
+                (65usize..=160, prop_oneof![Just(2usize), Just(4usize)]),
+            ],
+            line in prop_oneof![Just(16u64), Just(64u64)],
+            ops in vec((0u8..8, 0u64..1 << 32, 0u64..2, 1u64..6), 200..1500),
+        ) {
+            let (assoc, sets) = geometry;
+            let cfg = CacheConfig { size: assoc * sets * line as usize, line: line as usize, assoc };
+            let (mut wide, mut narrow) = (WideCache::new(cfg), Cache::new(cfg));
+            // 1.25x the capacity: the warm-up fills every set and evicts.
+            let space = (assoc * sets) as u64 * 5 / 4;
+            for l in 0..space {
+                prop_assert_eq!(wide.fill(l * line, l % 3 == 0), narrow.fill(l * line, l % 3 == 0));
+            }
+            for &(kind, raw, dirty, span) in &ops {
+                // Mid-line addresses: both must reduce them to the line.
+                let addr = raw % space * line + raw % line;
+                match kind {
+                    0..=3 => prop_assert_eq!(wide.fill(addr, dirty == 1), narrow.fill(addr, dirty == 1)),
+                    4 => prop_assert_eq!(wide.contains(addr), narrow.contains(addr)),
+                    5 => prop_assert_eq!(wide.extract(addr), narrow.extract(addr)),
+                    6 => prop_assert_eq!(wide.mark_dirty(addr), narrow.mark_dirty(addr)),
+                    _ => prop_assert_eq!(
+                        wide.invalidate_range(addr, span * line),
+                        narrow.invalidate_range(addr, span * line)
+                    ),
+                }
+            }
+            // Flushing with fresh lines reads out each set's whole LRU
+            // order and every dirty bit as victims.
+            for l in space..space + (assoc * sets) as u64 {
+                prop_assert_eq!(wide.fill(l * line, false), narrow.fill(l * line, false));
+            }
+        }
     }
 }

@@ -35,6 +35,7 @@ pub mod assoc;
 pub mod cost;
 pub mod hierarchy;
 pub mod levels;
+mod lru;
 pub mod multicap;
 pub mod sim;
 pub mod spec;

@@ -38,6 +38,22 @@ impl CacheConfig {
     pub fn sets(&self) -> usize {
         (self.size / self.line / self.assoc).max(1)
     }
+
+    /// [`CacheConfig::sets`] of a geometry the simulators can index:
+    /// power-of-two line size and set count, at least one way.
+    pub(crate) fn checked_sets(&self) -> usize {
+        assert!(self.line.is_power_of_two(), "line size must be a power of two");
+        assert!(self.assoc >= 1);
+        let sets = self.sets();
+        assert!(
+            sets.is_power_of_two(),
+            "set count must be a power of two (size {}/line {}/assoc {})",
+            self.size,
+            self.line,
+            self.assoc
+        );
+        sets
+    }
 }
 
 /// An evicted line: `(line base address, dirty)`. `None` when the fill
@@ -65,16 +81,7 @@ pub struct Cache {
 impl Cache {
     /// Builds an empty cache.
     pub fn new(cfg: CacheConfig) -> Self {
-        assert!(cfg.line.is_power_of_two(), "line size must be a power of two");
-        assert!(cfg.assoc >= 1);
-        let sets = cfg.sets();
-        assert!(
-            sets.is_power_of_two(),
-            "set count must be a power of two (size {}/line {}/assoc {})",
-            cfg.size,
-            cfg.line,
-            cfg.assoc
-        );
+        let sets = cfg.checked_sets();
         Cache {
             cfg,
             line_shift: cfg.line.trailing_zeros(),
@@ -358,9 +365,9 @@ mod tests {
         assert!(!t.access(4096));
         assert!(t.access(100));
         assert!(!t.access(3 * 4096));
-        assert!(!t.access(4097 + 4096), "page 1 evicted? no wait");
         // page 1 (4096..8192) was MRU after access(4096); access(100) made
         // page 0 MRU; access(3*4096) evicted page 1.
+        assert!(!t.access(4097 + 4096), "page 1 was the LRU entry page 3 evicted");
         assert_eq!(t.misses(), 4);
     }
 

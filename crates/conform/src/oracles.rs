@@ -9,13 +9,16 @@
 //! |--------|-----------|--------------------|
 //! | [`Oracle::Engine`]   | interpreter ≡ bytecode VM | event stream, stats, f64 bits, fuel |
 //! | [`Oracle::Optimize`] | `optimize_checked` preserves semantics on every ladder rung | final array contents vs original |
-//! | [`Oracle::Sweep`]    | single-pass sweep ≡ per-capacity LRU; inclusion property | exact miss counts |
+//! | [`Oracle::Sweep`]    | single-pass sweep (per event and batched) ≡ per-capacity LRU; inclusion property | exact miss counts |
 //! | [`Oracle::Profile`]  | reuse profiles are internally consistent | histogram masses |
 //! | [`Oracle::Bound`]    | fused reuse distances are `O(k·m)`, size-independent | max exact distance at two sizes |
 //! | [`Oracle::Static`]   | analytic miss model ≡ trace simulation at unseen sizes | miss counts per capacity and array, by construct class |
-//! | [`Oracle::Assoc`]    | single-set set-associative ≡ fully-associative sweep; per-set stack inclusion | exact miss counts |
+//! | [`Oracle::Assoc`]    | single-set set-associative ≡ fully-associative sweep ≡ single-level `fa` hierarchy; per-set stack inclusion | exact miss counts |
 
-use gcr_cache::{Cache, CacheConfig, CapacitySweepSink};
+use gcr_cache::{
+    Cache, CacheConfig, CapacitySweepSink, Inclusion, MultiLevelCache, MultiLevelSweepSink,
+    Prefetch,
+};
 use gcr_core::checked::{optimize_checked, Pass, SafetyOptions};
 use gcr_core::OptimizeOptions;
 use gcr_exec::{AccessEvent, DataLayout, ExecEngine, Machine, TraceSink};
@@ -432,6 +435,12 @@ impl TraceSink for SweepCap {
 /// with a dedicated fully-associative LRU simulation at every capacity of
 /// a random capacity set (Section 2.1: hit ⟺ reuse distance < capacity),
 /// and miss counts must be monotone in capacity (the inclusion property).
+///
+/// The capacities are handed over as drawn — unsorted, with duplicates,
+/// usually including a single line and one capacity the footprint never
+/// fills — and the sink is fed twice: per event behind [`SweepCap`], and
+/// unwrapped under the VM, whose strips reach its native `record_batch`
+/// path (the one every batched measurement runs).
 fn sweep_vs_sim(prog: &Program) -> Result<(), String> {
     let binding = ParamBinding::new(vec![12; prog.params.len()]);
     let mut rng = crate::rng::Rng::new(
@@ -439,13 +448,34 @@ fn sweep_vs_sim(prog: &Program) -> Result<(), String> {
     );
     let line: u64 = *rng.pick(&[16, 32, 64]);
     let ncaps = rng.range(2, 5) as usize;
-    let mut caps: Vec<u64> = (0..ncaps).map(|_| line * rng.range(1, 96) as u64).collect();
+    let mut drawn: Vec<u64> = (0..ncaps).map(|_| line * rng.range(1, 96) as u64).collect();
+    if rng.chance(3, 4) {
+        drawn.push(line);
+    }
+    if rng.chance(1, 2) {
+        drawn.push(drawn[0]);
+    }
+    drawn.push(line << 16); // more lines than a generated program touches
+    let mut caps = drawn.clone();
     caps.sort_unstable();
     caps.dedup();
 
-    let mut sink = SweepCap { sweep: CapacitySweepSink::new(line, &caps), trace: Vec::new() };
-    let mut m = Machine::new(prog, binding);
+    let mut sink = SweepCap { sweep: CapacitySweepSink::new(line, &drawn), trace: Vec::new() };
+    let mut m = Machine::new(prog, binding.clone());
     m.run_steps_guarded(&mut sink, 2, FUEL).map_err(|e| format!("run failed: {e}"))?;
+
+    let mut batched = CapacitySweepSink::new(line, &drawn);
+    let mut m = Machine::new(prog, binding).with_engine(ExecEngine::Vm);
+    m.run_steps_guarded(&mut batched, 2, FUEL).map_err(|e| format!("vm run failed: {e}"))?;
+    if batched.refs() != sink.sweep.refs() || batched.miss_counts() != sink.sweep.miss_counts() {
+        return Err(format!(
+            "batch path diverged from per-event: {} refs {:?} vs {} refs {:?}",
+            batched.refs(),
+            batched.miss_counts(),
+            sink.sweep.refs(),
+            sink.sweep.miss_counts()
+        ));
+    }
 
     if sink.sweep.refs() != sink.trace.len() as u64 {
         return Err(format!(
@@ -726,8 +756,10 @@ fn static_parity(prog: &Program) -> Result<(), String> {
 /// (see DESIGN.md §16 for why monotonicity pins the *set count*):
 ///
 /// 1. **Single-set equality** — with `ways = capacity / line` the cache is
-///    one LRU stack, and its misses must byte-equal the reuse-distance
-///    [`CapacitySweepSink`] at the same capacity.
+///    one LRU stack, and its misses must byte-equal the
+///    [`CapacitySweepSink`] at the same capacity — and the demand misses
+///    of a single-level `l1=capacity/line/fa` [`MultiLevelCache`], which
+///    past 64 ways is a third implementation of the same stack.
 /// 2. **Way monotonicity at fixed set count** — growing the ways at a
 ///    fixed set count never adds misses (per-set LRU stack inclusion).
 pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
@@ -758,12 +790,20 @@ pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
         assoc: w,
     }));
 
-    // One pass feeds both sweeps, batches included (the VM emits strips).
+    // One pass feeds all three models, batches included (the VM emits strips).
     let mut fa = CapacitySweepSink::new(line, &caps);
     let mut sa = gcr_cache::AssocSweepSink::new(&configs);
+    let mut ml = MultiLevelSweepSink::new(
+        configs[..ladder_at]
+            .iter()
+            .map(|&c| MultiLevelCache::new(&[c], Inclusion::Inclusive, Prefetch::None))
+            .collect(),
+    );
+    let mut sweeps = gcr_exec::Tee { a: &mut fa, b: &mut sa };
     let mut m = Machine::new(prog, binding).with_engine(engine);
-    m.run_steps_guarded(&mut gcr_exec::Tee { a: &mut fa, b: &mut sa }, 2, FUEL)
+    m.run_steps_guarded(&mut gcr_exec::Tee { a: &mut sweeps, b: &mut ml }, 2, FUEL)
         .map_err(|e| format!("run failed: {e}"))?;
+    let ml = ml.counts();
 
     if fa.refs() != sa.refs() {
         return Err(format!(
@@ -774,10 +814,11 @@ pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
     }
     for (i, &cap) in caps.iter().enumerate() {
         let (fa_misses, sa_misses) = (fa.misses(cap), sa.misses(i));
-        if fa_misses != sa_misses {
+        let ml_misses = ml[i].levels[0].misses;
+        if fa_misses != sa_misses || fa_misses != ml_misses {
             return Err(format!(
                 "single set of {} lines (line {line}): set-associative {sa_misses} misses, \
-                 FA sweep {fa_misses}",
+                 FA sweep {fa_misses}, single-level hierarchy {ml_misses}",
                 cap / line
             ));
         }

@@ -18,9 +18,8 @@ use crate::distance::Histogram;
 /// otherwise the whole bin containing `capacity` is dropped by
 /// [`Histogram::at_least`], *under*-counting misses by up to that bin's
 /// population. For exact counts at arbitrary capacities record distances
-/// into a [`crate::distance::CapacityCounter`] (what the single-pass
-/// multi-capacity simulator in `gcr-cache` does) instead of predicting
-/// from a finished histogram.
+/// into a [`crate::distance::CapacityCounter`] (what `gcr-static`'s probe
+/// sink does) instead of predicting from a finished histogram.
 pub fn predicted_misses(hist: &Histogram, capacity: u64) -> u64 {
     hist.cold + hist.at_least(capacity)
 }

@@ -547,10 +547,11 @@ struct ProbeCounts {
     misses_per_array: Vec<Vec<u64>>,
 }
 
-/// Trace sink mirroring `gcr_cache::CapacitySweepSink` exactly for the
-/// global counts (one analyzer, one capacity counter, misses = cold +
-/// at-least) while additionally attributing every access to its array —
-/// so the per-array models sum to the global one by construction.
+/// Trace sink answering exactly what `gcr_cache::CapacitySweepSink`
+/// answers for the global counts (here from exact distances: one
+/// analyzer, one capacity counter, misses = cold + at-least) while
+/// additionally attributing every access to its array — so the per-array
+/// models sum to the global one by construction.
 struct ProbeSink {
     analyzer: ReuseDistanceAnalyzer,
     counter: CapacityCounter,
