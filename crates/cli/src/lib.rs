@@ -317,7 +317,7 @@ pub fn run_source_with_diagnostics(
     let mut tracer =
         if o.trace || o.report_path.is_some() { Tracer::enabled() } else { Tracer::disabled() };
     let opt = apply_strategy_checked_traced(&prog, o.strategy, &safety_of(o), &mut tracer)?;
-    let diagnostics = opt.robustness.describe();
+    let mut diagnostics = opt.robustness.describe();
     if o.trace {
         let _ = writeln!(out, "pass trace ({} checkpoints):", opt.robustness.checks);
         for ev in tracer.events() {
@@ -382,6 +382,12 @@ pub fn run_source_with_diagnostics(
         let bind = binding_for(&prog, n);
         let layout = opt.layout(&bind);
         let mut m = Machine::with_layout(&opt.program, bind, layout).with_engine(engine);
+        if engine == ExecEngine::Vm {
+            if let Some(why) = m.refusal() {
+                diagnostics
+                    .push(format!("note: --simulate ran on the interpreter, not the vm: {why}"));
+            }
+        }
         let mut sink = PhasedHierarchySink::new(
             MemoryHierarchy::origin2000_scaled(o.cache_scale.0, o.cache_scale.1),
             &opt.program,
@@ -859,6 +865,46 @@ for i = 1, N {
         let a = run_with("interp");
         let b = run_with("vm");
         assert_eq!(a, b, "interp and vm engines must report identical miss counts");
+    }
+
+    #[test]
+    fn vm_fallback_to_the_interpreter_is_named_on_stderr_only() {
+        // 40 nested right operands: deeper than the tape's register file.
+        let deep = format!(
+            "program deep\nparam N\narray A[N]\nfor i = 1, N {{\n  A[i] = {}A[i]{}\n}}\n",
+            "(A[i] + ".repeat(40),
+            ")".repeat(40)
+        );
+        let run_with = |engine: &str| {
+            let mut o = parse_args(&args(&[
+                "-",
+                "--strategy",
+                "original",
+                "--no-emit",
+                "--simulate",
+                "32",
+                "--exec",
+                engine,
+            ]))
+            .unwrap();
+            o.input = "mem".into();
+            run_source_with_diagnostics(&deep, &o).unwrap()
+        };
+        let (vm_out, vm_diag) = run_with("vm");
+        let (interp_out, interp_diag) = run_with("interp");
+        assert_eq!(vm_out, interp_out, "stdout must not change");
+        assert!(interp_diag.is_empty(), "{interp_diag:?}");
+        assert_eq!(vm_diag.len(), 1, "{vm_diag:?}");
+        assert!(
+            vm_diag[0].starts_with("note: ") && vm_diag[0].contains("registers"),
+            "{}",
+            vm_diag[0]
+        );
+        // A program on the tape says nothing.
+        let mut o = parse_args(&args(&["-", "--no-emit", "--simulate", "32"])).unwrap();
+        o.input = "mem".into();
+        o.exec = Some(ExecEngine::Vm);
+        assert!(run_source_with_diagnostics(SRC, &o).unwrap().1.is_empty());
     }
 
     #[test]

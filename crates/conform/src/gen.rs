@@ -8,7 +8,10 @@
 //!   array, including transposed subscripts);
 //! * per-statement guard ranges (constant and `N`-relative, occasionally
 //!   empty or statically dead — the segment-splitting edge cases);
-//! * outer conditions on strictly enclosing loop variables;
+//! * outer conditions on strictly enclosing loop variables, on whole inner
+//!   loops and on single statements inside them — sometimes two on one
+//!   variable, with subscripts that are only in bounds under their
+//!   intersection (the shape fusion gives every statement of a fused body);
 //! * negative and positive subscript offsets, sized so that *every*
 //!   subscript stays within `1..=N` for every binding `N ≥ MIN_N` (the
 //!   interpreter's debug bounds assertion is part of the reference
@@ -239,10 +242,32 @@ impl Gen<'_> {
             Some(g) if self.rng.chance(1, 2) => refine(iv, g),
             _ => iv,
         };
+        // Inside a nest, conditions on an enclosing variable too: one, or
+        // two on the same variable. Half the time the statement's
+        // subscripts may rely on them, as they may on the guard.
+        let mut outer = Vec::new();
+        let mut widened = None;
+        if self.cfg.allow_guards && !self.scope.is_empty() && self.rng.chance(1, 3) {
+            let k = self.rng.below(self.scope.len() as u64) as usize;
+            let (u, iv_u) = self.scope[k];
+            let mut refined = iv_u;
+            for _ in 0..if self.rng.chance(1, 3) { 2 } else { 1 } {
+                let range = self.guard_range(iv_u);
+                refined = refine(refined, &range);
+                outer.push((u, range));
+            }
+            if self.rng.chance(1, 2) {
+                self.scope[k].1 = refined;
+                widened = Some((k, iv_u));
+            }
+        }
         self.scope.push((v, eff));
         let stmt = self.stmt(b, v, eff);
         self.scope.pop();
-        GuardedStmt { stmt, guard, outer: Vec::new() }
+        if let Some((k, iv_u)) = widened {
+            self.scope[k].1 = iv_u;
+        }
+        GuardedStmt { stmt, guard, outer }
     }
 
     /// A guard range over a loop with interval `iv`: usually a sub-range,
@@ -457,7 +482,8 @@ pub fn in_bounds(prog: &Program) -> bool {
     [MIN_N, MIN_N + 1, 12, 17].iter().all(|&n| in_bounds_at(prog, n))
 }
 
-fn in_bounds_at(prog: &Program, n: i64) -> bool {
+/// [`in_bounds`] at the single size `n`.
+pub(crate) fn in_bounds_at(prog: &Program, n: i64) -> bool {
     let binding = ParamBinding::new(vec![n; prog.params.len()]);
     let extents: Vec<Vec<i64>> =
         prog.arrays.iter().map(|a| a.dims.iter().map(|d| d.eval(&binding)).collect()).collect();

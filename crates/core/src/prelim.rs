@@ -10,8 +10,8 @@
 use gcr_analysis::footprint::{var_ranges, VarRanges};
 use gcr_analysis::level::classify_level_refs;
 use gcr_ir::{
-    subst, ArrayDecl, ArrayId, BinOp, Expr, GuardedStmt, LinExpr, Loop, Program, Stmt, Subscript,
-    UnOp,
+    subst, ArrayDecl, ArrayId, BinOp, Expr, GuardedStmt, LinExpr, Loop, Program, Range, Stmt,
+    Subscript, UnOp,
 };
 
 /// Statistics from the preliminary passes.
@@ -46,45 +46,92 @@ pub fn preliminary(prog: &mut Program, small_dim_limit: i64) -> PrelimReport {
 pub fn unroll_const_loops(prog: &mut Program, limit: i64) -> usize {
     let mut count = 0;
     let mut body = std::mem::take(&mut prog.body);
-    unroll_list(&mut body, limit, &mut count);
+    unroll_list(&mut body, None, limit, &mut count);
     prog.body = body;
     count
 }
 
-fn unroll_list(stmts: &mut Vec<GuardedStmt>, limit: i64, count: &mut usize) {
+/// Unrolls inside `stmts`, the body of the loop over `parent` (`None` at
+/// top level).
+fn unroll_list(
+    stmts: &mut Vec<GuardedStmt>,
+    parent: Option<gcr_ir::VarId>,
+    limit: i64,
+    count: &mut usize,
+) {
     let mut out = Vec::with_capacity(stmts.len());
     for mut gs in stmts.drain(..) {
         if let Stmt::Loop(l) = &mut gs.stmt {
-            unroll_list(&mut l.body, limit, count);
+            unroll_list(&mut l.body, Some(l.var), limit, count);
             if let (Some(lo), Some(hi)) = (l.lo.as_const(), l.hi.as_const()) {
                 if hi >= lo && hi - lo < limit && unrollable(l) {
-                    *count += 1;
-                    for x in lo..=hi {
-                        for m in &l.body {
-                            // A member guard ranges over the unrolled
-                            // variable and resolves statically at `x`
-                            // (`unrollable` guarantees constant bounds).
-                            if let Some(g) = &m.guard {
-                                let (glo, ghi) =
-                                    (g.lo.as_const().unwrap(), g.hi.as_const().unwrap());
-                                if x < glo || x > ghi {
-                                    continue;
-                                }
-                            }
-                            let mut stmt = m.stmt.clone();
-                            subst::instantiate_var(&mut stmt, l.var, &LinExpr::konst(x));
-                            let mut outer = gs.outer.clone();
-                            outer.extend(m.outer.iter().cloned());
-                            out.push(GuardedStmt { stmt, guard: gs.guard.clone(), outer });
-                        }
+                    if let Some(hoisted) = hoist_members(&gs.guard, &gs.outer, l, parent, lo, hi) {
+                        *count += 1;
+                        out.extend(hoisted);
+                        continue;
                     }
-                    continue;
                 }
             }
         }
         out.push(gs);
     }
     *stmts = out;
+}
+
+/// The members of the constant-trip loop `l` — itself a member of the
+/// loop over `parent`, under `guard` and `outer` — instantiated at every
+/// value of its variable, as members of that enclosing loop. `None` when a
+/// member's activity cannot be expressed there.
+fn hoist_members(
+    guard: &Option<Range>,
+    outer: &[(gcr_ir::VarId, Range)],
+    l: &Loop,
+    parent: Option<gcr_ir::VarId>,
+    lo: i64,
+    hi: i64,
+) -> Option<Vec<GuardedStmt>> {
+    let mut hoisted = Vec::new();
+    for x in lo..=hi {
+        for m in &l.body {
+            // A member guard ranges over the unrolled variable and resolves
+            // statically at `x` (`unrollable` guarantees constant bounds).
+            if let Some(g) = &m.guard {
+                let (glo, ghi) = (g.lo.as_const().unwrap(), g.hi.as_const().unwrap());
+                if x < glo || x > ghi {
+                    continue;
+                }
+            }
+            let mut stmt = m.stmt.clone();
+            subst::instantiate_var(&mut stmt, l.var, &LinExpr::konst(x));
+            // The member's outer conditions move up with it. One on
+            // `parent` was a condition on a strictly enclosing variable;
+            // on a member of that very loop it is the guard (an `outer`
+            // entry there would test the variable before the loop sets it).
+            let mut guard = guard.clone();
+            let mut outer = outer.to_vec();
+            for (v, range) in &m.outer {
+                if Some(*v) == parent {
+                    guard = Some(match guard {
+                        None => range.clone(),
+                        Some(g) => intersect_exact(&g, range)?,
+                    });
+                } else {
+                    outer.push((*v, range.clone()));
+                }
+            }
+            hoisted.push(GuardedStmt { stmt, guard, outer });
+        }
+    }
+    Some(hoisted)
+}
+
+/// Intersection of two ranges over one variable, when each pair of bounds
+/// differs by a constant — so that it is the intersection for every
+/// parameter value, not only for large ones.
+fn intersect_exact(a: &Range, b: &Range) -> Option<Range> {
+    let lo = if a.lo.sub(&b.lo).as_const()? >= 0 { &a.lo } else { &b.lo };
+    let hi = if a.hi.sub(&b.hi).as_const()? <= 0 { &a.hi } else { &b.hi };
+    Some(Range::new(lo.clone(), hi.clone()))
 }
 
 /// Whether a constant-trip loop can be unrolled without changing meaning:
@@ -458,6 +505,45 @@ for i = 1, N {
         assert_eq!(p.count_loops(), 1);
         assert_eq!(p.count_assigns(), 3);
         equivalent(&orig, &p, 6);
+    }
+
+    /// A member's condition on the variable of the loop it is hoisted into
+    /// becomes its guard there — as an `outer` entry it would be tested
+    /// before that loop assigns the variable. Where the two ranges cannot
+    /// be intersected for every size, the loop stays.
+    #[test]
+    fn unroll_turns_conditions_on_the_new_parent_into_guards() {
+        let src = "
+program u
+param N
+array A[N], B[N]
+
+for i = 2, N - 1 {
+  for m = 1, 3 {
+    when i in [4, N - 2] A[i] = B[m] + A[i]
+  }
+  when [3, N - 3] for k = 1, 2 {
+    when i in [2, N - 2] B[k+3] = A[i-1]
+  }
+  when [5, 9] for q = 1, 2 {
+    when i in [2, N - 2] B[q] = A[i]
+  }
+}
+";
+        let orig = parse(src).unwrap();
+        let mut p = orig.clone();
+        assert_eq!(unroll_const_loops(&mut p, 8), 2, "`9` and `N - 2` do not compare");
+        let Stmt::Loop(l) = &p.body[0].stmt else { unreachable!() };
+        assert_eq!(l.body.len(), 6);
+        for m in &l.body[..5] {
+            assert!(m.outer.is_empty(), "{m:?}");
+        }
+        assert_eq!(l.body[0].guard, Some(Range::new(LinExpr::konst(4), l.hi.add_const(-1))));
+        assert_eq!(l.body[3].guard, Some(Range::new(LinExpr::konst(3), l.hi.add_const(-2))));
+        assert!(matches!(l.body[5].stmt, Stmt::Loop(_)));
+        for n in [8, 12] {
+            equivalent(&orig, &p, n);
+        }
     }
 
     #[test]

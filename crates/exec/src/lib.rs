@@ -35,7 +35,7 @@ pub mod machine;
 pub mod tape;
 pub mod vm;
 
-pub use compile::compile;
+pub use compile::{compile, try_compile, Refusal};
 pub use layout::{ArrayLayout, DataLayout};
 pub use machine::{
     AccessEvent, BatchSlot, CountingSink, ExecEngine, ExecEstimate, ExecStats, Machine, NullSink,

@@ -10,6 +10,7 @@
 //! iterations inside its guard — this is how fused programs (alignment,
 //! embedding, peeling) run without code generation.
 
+use crate::compile::Refusal;
 use crate::layout::DataLayout;
 use gcr_ir::{
     ArrayId, ArrayRef, AssignKind, BinOp, Expr, GcrError, GuardedStmt, Loop, ParamBinding, Program,
@@ -73,7 +74,7 @@ impl BatchSlot {
 }
 
 /// A whole iteration strip of trace events, in compressed affine form: the
-/// VM engine proves every event address of a flat segment affine in the
+/// VM engine proves every event address of a planned segment affine in the
 /// loop variable, so a strip of `iters` iterations is fully described by
 /// one [`BatchSlot`] per event position — no per-event materialization at
 /// all on the producer side.
@@ -326,13 +327,11 @@ pub struct Machine<'p> {
     op_counts: Vec<u32>,
     stats: ExecStats,
     engine: ExecEngine,
-    /// Lazily compiled tape: `None` until first needed, `Some(None)` when
-    /// the program is outside the compiler's domain (interpreter fallback).
-    compiled: Option<Option<crate::tape::CompiledProgram>>,
-    /// Lazily built VM plan over the compiled tape, same `Option` protocol.
-    /// The VM's lowering is total over compiled programs, so this is
-    /// `Some(None)` exactly when `compiled` is.
-    vm: Option<Option<crate::vm::VmPlan>>,
+    /// Lazily compiled tape and the VM plan over it: `None` until first
+    /// needed, `Some(Err(_))` when the program is outside the compiler's
+    /// domain (interpreter fallback, with the reason). The VM's lowering is
+    /// total over compiled programs, so every tape has a plan.
+    compiled: Option<Result<(crate::tape::CompiledProgram, crate::vm::VmPlan), Refusal>>,
 }
 
 impl<'p> Machine<'p> {
@@ -385,7 +384,6 @@ impl<'p> Machine<'p> {
             // value has already been rejected.
             engine: ExecEngine::from_env().unwrap_or_default(),
             compiled: None,
-            vm: None,
         };
         m.init_memory();
         m
@@ -411,24 +409,28 @@ impl<'p> Machine<'p> {
 
     /// True when this machine's program compiled to the tape (after
     /// forcing compilation). The VM's lowering is total over compiled
-    /// programs, so a `false` under [`ExecEngine::Vm`] means runs silently
-    /// use the interpreter fallback.
+    /// programs, so a `false` under [`ExecEngine::Vm`] means runs use the
+    /// interpreter fallback; [`Machine::refusal`] says why.
     pub fn compiles(&mut self) -> bool {
-        self.ensure_compiled();
-        matches!(self.compiled, Some(Some(_)))
+        self.refusal().is_none()
     }
 
-    fn ensure_compiled(&mut self) {
-        if self.compiled.is_none() {
-            self.compiled = Some(crate::compile::compile(self.prog, &self.binding, &self.layout));
-        }
+    /// Why the tape compiler declined this machine's program (after
+    /// forcing compilation); `None` when it compiled.
+    pub fn refusal(&mut self) -> Option<&Refusal> {
+        self.ensure_compiled().as_ref().err()
     }
 
-    fn ensure_vm(&mut self) {
-        self.ensure_compiled();
-        if self.vm.is_none() {
-            self.vm = Some(self.compiled.as_ref().unwrap().as_ref().map(crate::vm::VmPlan::build));
-        }
+    fn ensure_compiled(
+        &mut self,
+    ) -> &Result<(crate::tape::CompiledProgram, crate::vm::VmPlan), Refusal> {
+        let (prog, binding, layout) = (self.prog, &self.binding, &self.layout);
+        self.compiled.get_or_insert_with(|| {
+            crate::compile::try_compile(prog, binding, layout).map(|cp| {
+                let plan = crate::vm::VmPlan::build(&cp);
+                (cp, plan)
+            })
+        })
     }
 
     /// Fills memory with a deterministic per-(array, logical element)
@@ -500,8 +502,8 @@ impl<'p> Machine<'p> {
         fuel: u64,
     ) -> Result<(), GcrError> {
         if self.engine == ExecEngine::Vm {
-            self.ensure_vm();
-            if let (Some(Some(cp)), Some(Some(plan))) = (self.compiled.as_ref(), self.vm.as_ref()) {
+            self.ensure_compiled();
+            if let Some(Ok((cp, plan))) = self.compiled.as_ref() {
                 return crate::vm::run(
                     cp,
                     plan,

@@ -23,10 +23,11 @@
 //! * every loop body is split into `Segment`s — maximal sub-intervals of
 //!   the iteration range on which the *set* of guard-active members is
 //!   constant — so the per-iteration loop runs guard-check-free (the
-//!   compile-time analogue of the paper's boundary splitting). Segments
-//!   whose members are all unconditional statements are marked *flat* and
-//!   carry their per-iteration fuel and statistics as compile-time
-//!   constants, which is what lets the VM charge a whole strip up front.
+//!   compile-time analogue of the paper's boundary splitting). Conditions
+//!   on *outer* variables cannot change inside the loop: each member
+//!   carries at most one bit of a mask (`Item::req`) that the loop's
+//!   `OuterCheck`s set once at loop entry, and that mask is the only
+//!   run-time guard mechanism.
 //!
 //! The tape is an IR, not an engine: [`crate::vm`] walks its items, loops
 //! and segments, and the only code here that executes anything is the
@@ -209,19 +210,6 @@ pub(crate) struct Segment {
     pub prime: (u32, u32),
     /// Per-iteration walker increments: `advance_list[start..end]`.
     pub advance: (u32, u32),
-    /// True when every item is an unconditional statement (and there is
-    /// at least one): the per-iteration constants below are then exact.
-    pub flat: bool,
-    /// Fuel per iteration of a flat segment: 1 + statement count.
-    pub iter_fuel: u64,
-    /// Statistic deltas per iteration of a flat segment.
-    pub iter_instances: u64,
-    /// Flops per iteration.
-    pub iter_flops: u64,
-    /// Traced reads per iteration.
-    pub iter_reads: u64,
-    /// Traced writes per iteration.
-    pub iter_writes: u64,
 }
 
 /// One compiled loop.
@@ -240,7 +228,8 @@ pub(crate) struct CLoop {
 /// check sets `bit` in the loop's inactive mask.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct OuterCheck {
-    /// Mask bit of the member this check belongs to.
+    /// Mask bit of the condition list this check belongs to (shared by
+    /// every member that carries the same list).
     pub bit: u64,
     /// Enclosing loop-variable slot to test.
     pub slot: u16,
@@ -252,7 +241,7 @@ pub(crate) struct OuterCheck {
 
 /// A program lowered once against a `(ParamBinding, DataLayout)` pair.
 ///
-/// Produced by [`crate::compile::compile`]; planned by
+/// Produced by [`crate::compile::try_compile`]; planned by
 /// [`crate::vm::VmPlan::build`] and executed by [`crate::machine::Machine`]
 /// when its engine is [`crate::machine::ExecEngine::Vm`]. All loop bounds,
 /// guard intervals, and address strides are resolved to constants; only

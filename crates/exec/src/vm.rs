@@ -15,23 +15,30 @@
 //!   call the frontend produces). Statements outside these shapes keep the
 //!   op tape and run as `VInst::Micro`, so the lowering is *total*: the
 //!   VM's domain is exactly the tape compiler's domain.
-//! * **Strip execution.** Flat segments — guard-free basic blocks whose
-//!   members are unconditional statements with affine walkers — execute in
-//!   whole iteration strips per dispatch. Because every event address is an
-//!   affine function of the loop variable (value-independent), the strip's
-//!   complete event stream is known before any arithmetic runs and is
-//!   handed to the sink once per strip in compressed affine form: one
-//!   [`crate::machine::BatchSlot`] (start address, stride, static fields)
-//!   per event position, via [`crate::TraceSink::record_batch`]. The producer does
-//!   *zero* per-event work — an event-blind sink costs nothing, and a hot
-//!   sink expands addresses in one tight loop over its own state. The
-//!   arithmetic then runs as tight per-statement kernels over the strip.
+//! * **Strip execution.** Segments whose members are statements with
+//!   affine walkers execute in whole iteration strips per dispatch. Members
+//!   may carry outer-condition bits — every statement of a fused loop does
+//!   — because the loop's mask is computed once at loop entry and cannot
+//!   change inside it: the plan covers *all* members of the segment, and
+//!   each loop entry runs it with the members its mask switches off
+//!   filtered out of the slot list, the instance boundaries, the bulk
+//!   fuel/statistics charge and the kernel sweep. An unconditional segment
+//!   is the case "no member has a bit" of the same plan and the same run.
+//!   Because every event address is an affine function of the loop
+//!   variable (value-independent), the strip's complete event stream is
+//!   known before any arithmetic runs and is handed to the sink once per
+//!   strip in compressed affine form: one [`crate::machine::BatchSlot`]
+//!   (start address, stride, static fields) per event position, via
+//!   [`crate::TraceSink::record_batch`]. The producer does *zero* per-event
+//!   work — an event-blind sink costs nothing, and a hot sink expands
+//!   addresses in one tight loop over its own state. The arithmetic then
+//!   runs as tight per-statement kernels over the strip.
 //!   When a compile-time dependence check proves no statement pair can
 //!   touch the same address within a strip (distinct iterations), kernels
 //!   sweep statement-major; otherwise compute falls back to
 //!   iteration-major order inside the strip, which preserves every data
 //!   dependence while events stay batched.
-//! * **Inner-loop unrolling.** A guard-free constant-trip inner loop (the
+//! * **Inner-loop unrolling.** A condition-free constant-trip inner loop (the
 //!   `for m = 1, 5` component loops NPB wraps around every statement)
 //!   would otherwise cap strips at its tiny trip count. When every trip is
 //!   statement-major safe with the inner value substituted into its
@@ -44,13 +51,15 @@
 //! oracle: identical `AccessEvent` streams (including `end_instance`
 //! interleaving), bit-identical `f64` memory, identical [`ExecStats`], and
 //! identical fuel accounting. The strip path is taken only when the
-//! remaining fuel provably covers the whole segment, so exhaustion inside
-//! a strip is impossible and partial runs take the exact per-event path.
+//! remaining fuel provably covers the whole segment under the current
+//! mask, so exhaustion inside a strip is impossible and partial runs take
+//! the exact per-event path.
 
 use crate::layout::ELEM_BYTES;
 use crate::machine::{BatchSlot, ExecStats, NullSink, TraceBatch, TraceSink};
 use crate::tape::{CompiledProgram, Exec, ItemKind, Op, Segment};
 use gcr_ir::{ArrayId, GcrError, ReduceOp, StmtId};
+use std::mem;
 
 /// Cap on iterations per strip: bounds each kernel's working set (a strip
 /// walks at most this many elements per operand) and the distance the
@@ -179,63 +188,61 @@ struct EvSlot {
     is_write: bool,
 }
 
-/// One step of a strip iteration, in source order. Plain flat segments
-/// produce only `Stmt` steps; segments with unrolled constant-trip inner
-/// loops interleave `Prime` steps that re-base the inner iteration's
-/// walkers (one per unrolled inner iteration, before its statements).
+/// One step of a strip iteration, in source order, with the
+/// outer-condition bits of the segment member it came from: a loop entry
+/// whose mask has any of them set skips the step everywhere — events,
+/// instance boundaries, fuel, statistics and compute.
 #[derive(Clone, Copy, Debug)]
-enum SItem {
-    /// One statement instance; it owns the next `nslots` event slots.
-    Stmt { si: u32, nslots: u32 },
+struct SItem {
+    req: u64,
+    step: Step,
+}
+
+/// What a strip step does. Segments of plain statements produce only
+/// `Stmt` steps; unrolled constant-trip inner loops interleave `Prime`
+/// steps that re-base the inner iteration's walkers (one per unrolled
+/// inner iteration, before its statements).
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// One statement instance, with its event slots of one iteration in
+    /// emission order: `slots[start..end]`. Costs one fuel unit, like the
+    /// interpreter's assignment. `vector` is false for a `VInst::Micro`
+    /// instance whose op-major sweep over a strip would be observable (it
+    /// reads what it wrote in an earlier iteration); a statement-major
+    /// strip runs such an instance one iteration at a time.
+    Stmt { si: u32, slots: (u32, u32), vector: bool },
     /// Set `vars[var] = val` and prime walkers `prime` — positions one
     /// unrolled inner iteration's references at the current parent value.
+    /// Costs one fuel unit, like the interpreter's inner-loop iteration.
     Prime { var: u16, val: i64, prime: (u32, u32) },
 }
 
-/// Strip plan of one guard-free segment.
+/// Strip plan of one segment, over all its members.
 #[derive(Clone, Debug)]
 struct Strip {
     /// Steps per iteration: `sitems[start..end]`.
     items: (u32, u32),
-    /// Event slots per iteration, in emission order: `slots[start..end]`.
-    slots: (u32, u32),
-    /// Instance boundaries per iteration: `ends[start..end]`, each an
-    /// (event offset within the iteration, statement) pair.
-    ends: (u32, u32),
-    /// Iterations per strip.
-    max_iters: u32,
     /// True when kernels may sweep statement-major: the affine dependence
-    /// check proved no cross-instance address collision within a strip,
-    /// and every `VInst::Micro` instance passed the same-statement
-    /// check that makes its op-major vector execution safe.
+    /// check proved that no instance touches, in an earlier iteration of a
+    /// strip, an address an instance before it in the body touches in a
+    /// later one. Proved on the full member set, so it holds for whatever
+    /// subset a mask leaves.
     stmt_major: bool,
-    /// True when the strip carries `Prime` steps (unrolled inner loops).
-    unrolled: bool,
-    /// Fuel per parent iteration, inner-loop iterations included — the
-    /// segment's own `iter_fuel` is wrong for unrolled strips (the tape
-    /// computes it only for flat segments), so the plan carries its own.
-    iter_fuel: u64,
-    /// Statistic deltas per parent iteration, matching the exact path.
-    iter_instances: u64,
-    iter_flops: u64,
-    iter_reads: u64,
-    iter_writes: u64,
 }
 
 /// A compiled program's VM lowering: superinstructions for every statement
-/// plus strip plans for every flat segment. Built once per
+/// plus strip plans for every segment of statements. Built once per
 /// [`CompiledProgram`] by [`VmPlan::build`] and cached by the machine; the
 /// lowering is total, so the VM runs exactly the programs that compile.
 #[derive(Clone, Debug)]
 pub struct VmPlan {
     vstmts: Vec<VInst>,
     chain_ws: Vec<u32>,
-    /// Indexed like `CompiledProgram::segments`; `Some` iff the segment
-    /// is guard-free with affine walkers (flat, or flat after unrolling
-    /// constant-trip inner loops).
+    /// Indexed like `CompiledProgram::segments`; `Some` iff every member
+    /// of the segment is a statement or a constant-trip inner loop that
+    /// unrolls into statements.
     strips: Vec<Option<Strip>>,
     slots: Vec<EvSlot>,
-    ends: Vec<(u32, StmtId)>,
     sitems: Vec<SItem>,
     /// Most event slots any strip iteration has (descriptor pre-sizing).
     max_slots: usize,
@@ -245,15 +252,14 @@ pub struct VmPlan {
 
 impl VmPlan {
     /// Lowers a compiled program to the VM. Total: every statement gets a
-    /// superinstruction (worst case `VInst::Micro`) and every flat
-    /// segment a strip plan.
+    /// superinstruction (worst case `VInst::Micro`) and every segment of
+    /// statements a strip plan.
     pub fn build(cp: &CompiledProgram) -> VmPlan {
         let mut plan = VmPlan {
             vstmts: Vec::with_capacity(cp.stmts.len()),
             chain_ws: Vec::new(),
             strips: vec![None; cp.segments.len()],
             slots: Vec::new(),
-            ends: Vec::new(),
             sitems: Vec::new(),
             max_slots: 0,
             max_vregs: 0,
@@ -276,109 +282,118 @@ impl VmPlan {
         self.vstmts.iter().filter(|i| !matches!(i, VInst::Micro)).count()
     }
 
-    /// Number of flat segments with a strip plan.
+    /// Number of segments with a strip plan.
     pub fn strip_count(&self) -> usize {
         self.strips.iter().flatten().count()
     }
 
+    /// One iteration of `strip` under the loop-entry mask `inactive`: fills
+    /// `ends` with the instance boundaries of the statements the mask
+    /// leaves on — `(event offset within the iteration, statement)`, the
+    /// form [`TraceBatch`] takes — and returns the iteration's fuel and
+    /// statistic deltas, equal to what the exact path charges for it.
+    fn iteration(
+        &self,
+        cp: &CompiledProgram,
+        strip: &Strip,
+        inactive: u64,
+        ends: &mut Vec<(u32, StmtId)>,
+    ) -> (u64, ExecStats) {
+        ends.clear();
+        let (mut fuel, mut off) = (1u64, 0u32);
+        let mut st = ExecStats::default();
+        for it in &self.sitems[strip.items.0 as usize..strip.items.1 as usize] {
+            if it.req & inactive != 0 {
+                continue;
+            }
+            fuel += 1;
+            if let Step::Stmt { si, slots, .. } = it.step {
+                let s = &cp.stmts[si as usize];
+                off += slots.1 - slots.0;
+                ends.push((off, s.id));
+                st.flops += u64::from(s.flops);
+                st.writes += u64::from(s.traced);
+            }
+        }
+        st.instances = ends.len() as u64;
+        st.reads = u64::from(off) - st.writes;
+        (fuel, st)
+    }
+
     fn build_strip(&mut self, cp: &CompiledProgram, sidx: u32, var: u16) {
         let seg = &cp.segments[sidx as usize];
-        // Admission: every member must be an unconditional statement, or an
-        // unconditional constant-trip inner loop that unrolls — no checks,
-        // one flat segment (all unconditional statements by construction),
-        // and a small trip count. Anything else keeps the exact path.
-        enum Unit {
-            Stmt(u32),
-            Unroll { mvar: u16, mseg: u32 },
+        /// One statement instance of a strip iteration.
+        struct Inst {
+            req: u64,
+            si: u32,
+            /// Unrolled inner-loop variable and its value for this instance.
+            subst: Option<(u16, i64)>,
+            /// Walkers to re-base before the instance: set on the first
+            /// statement of each unrolled inner iteration.
+            prime: Option<(u32, u32)>,
+            /// See [`Step::Stmt`]; decided once the accesses are known.
+            vector: bool,
         }
-        let items = &cp.items[seg.items.0 as usize..seg.items.1 as usize];
-        let mut units = Vec::new();
-        let mut unrolled = false;
-        for it in items {
-            if it.req != 0 {
-                return;
-            }
+        // Admission: every member must be a statement, or a constant-trip
+        // inner loop that unrolls — no conditions of its own, one segment
+        // of statements only, and a small trip count. The members
+        // themselves may carry outer-condition bits; the instances inherit
+        // them. Anything else keeps the exact path.
+        let mut insts: Vec<Inst> = Vec::new();
+        for it in &cp.items[seg.items.0 as usize..seg.items.1 as usize] {
             match it.kind {
-                ItemKind::Stmt(si) => units.push(Unit::Stmt(si)),
+                ItemKind::Stmt(si) => {
+                    insts.push(Inst { req: it.req, si, subst: None, prime: None, vector: true })
+                }
                 ItemKind::Loop(li) => {
                     let l2 = &cp.loops[li as usize];
                     if l2.checks.1 != l2.checks.0 || l2.segments.1 - l2.segments.0 != 1 {
                         return;
                     }
-                    let ms = l2.segments.0;
-                    let m = &cp.segments[ms as usize];
-                    if !m.flat || m.hi - m.lo + 1 > UNROLL_MAX {
+                    let m = &cp.segments[l2.segments.0 as usize];
+                    let body = &cp.items[m.items.0 as usize..m.items.1 as usize];
+                    if body.is_empty() || m.hi - m.lo + 1 > UNROLL_MAX {
                         return;
                     }
-                    unrolled = true;
-                    units.push(Unit::Unroll { mvar: l2.var, mseg: ms });
+                    for j in m.lo..=m.hi {
+                        for (k, b) in body.iter().enumerate() {
+                            let ItemKind::Stmt(si) = b.kind else { return };
+                            insts.push(Inst {
+                                req: it.req,
+                                si,
+                                subst: Some((l2.var, j)),
+                                prime: (k == 0).then_some(m.prime),
+                                vector: true,
+                            });
+                        }
+                    }
                 }
             }
         }
-        if units.is_empty() {
+        if insts.is_empty() {
             return;
         }
-        // Instance list (one entry per unrolled statement instance) for
-        // the dependence analysis, and per-iteration accounting matching
-        // the exact path's fuel and statistics exactly.
-        let mut insts: Vec<(u32, Option<(u16, i64)>)> = Vec::new();
-        let (mut fuel, mut instances) = (1u64, 0u64);
-        let (mut flops, mut reads, mut writes) = (0u64, 0u64, 0u64);
-        for u in &units {
-            match *u {
-                Unit::Stmt(si) => {
-                    insts.push((si, None));
-                    let s = &cp.stmts[si as usize];
-                    fuel += 1;
-                    instances += 1;
-                    flops += u64::from(s.flops);
-                    reads += cp.ops[s.ops.0 as usize..s.ops.1 as usize]
-                        .iter()
-                        .filter(|op| op.traced_read_walker().is_some())
-                        .count() as u64;
-                    if s.traced {
-                        if s.reduce.is_some() {
-                            reads += 1;
-                        }
-                        writes += 1;
-                    }
-                }
-                Unit::Unroll { mvar, mseg } => {
-                    let m = &cp.segments[mseg as usize];
-                    for j in m.lo..=m.hi {
-                        for it in &cp.items[m.items.0 as usize..m.items.1 as usize] {
-                            let ItemKind::Stmt(si) = it.kind else { unreachable!() };
-                            insts.push((si, Some((mvar, j))));
-                        }
-                    }
-                    let trips = (m.hi - m.lo + 1) as u64;
-                    fuel += trips * m.iter_fuel;
-                    instances += trips * m.iter_instances;
-                    flops += trips * m.iter_flops;
-                    reads += trips * m.iter_reads;
-                    writes += trips * m.iter_writes;
-                }
-            }
-        }
+        let unrolled = insts.iter().any(|i| i.subst.is_some());
         // Strips never run longer than the segment itself, so dependence
         // distances only matter up to the shorter of the two.
-        let max_iters = MAX_STRIP as u32;
-        let strip_len = (max_iters as i64).min(seg.hi - seg.lo + 1);
-        // Statement-major execution needs every instance to be safe when
-        // run a whole strip at a time: vector kernels always are (their
-        // fused read-compute-write loop ascends in the original iteration
-        // order), a Micro instance is when its op-major sweep — all reads
-        // of the strip before its stores — cannot observe its own writes
-        // (no read/write collision at nonzero iteration distance within a
-        // strip), and instance pairs must never touch the same address in
-        // different iterations of one strip. Unrolled instances take part
-        // with their inner-loop value substituted into the affine form.
+        let strip_len = (MAX_STRIP as i64).min(seg.hi - seg.lo + 1);
+        // Statement-major execution runs each instance over a whole strip
+        // before the next one starts. Within an instance that is always
+        // the original order (kernels ascend in the iteration; a Micro
+        // instance whose op-major sweep would be observable is marked
+        // non-`vector` and stepped one iteration at a time). Across
+        // instances it is legal when no pair is reordered: see
+        // `deps_allow_stmt_major`. Unrolled instances take part with their
+        // inner-loop value substituted into the affine form. All of it is
+        // checked on the full instance list: a pairwise property of the
+        // whole set holds for every subset a mask selects.
         let accs: Vec<Vec<AffAcc>> =
-            insts.iter().map(|&(si, subst)| inst_accs(cp, si, var, subst)).collect();
-        let vec_ok = insts.iter().zip(&accs).all(|(&(si, _), acc)| {
-            !matches!(self.vstmts[si as usize], VInst::Micro) || micro_vec_ok(acc, strip_len)
-        });
-        let stmt_major = vec_ok && (accs.len() == 1 || deps_allow_stmt_major(&accs, strip_len));
+            insts.iter().map(|i| inst_accs(cp, i.si, var, i.subst)).collect();
+        for (i, acc) in insts.iter_mut().zip(&accs) {
+            i.vector =
+                !matches!(self.vstmts[i.si as usize], VInst::Micro) || micro_vec_ok(acc, strip_len);
+        }
+        let stmt_major = deps_allow_stmt_major(&accs, strip_len);
         if unrolled && !stmt_major {
             // An unrolled iteration-major fallback would re-prime every
             // inner iteration per parent iteration — slower than the
@@ -387,89 +402,50 @@ impl VmPlan {
             return;
         }
         if stmt_major {
-            for &(si, _) in &insts {
-                if matches!(self.vstmts[si as usize], VInst::Micro) {
-                    let s = &cp.stmts[si as usize];
+            for i in insts.iter().filter(|i| i.vector) {
+                if matches!(self.vstmts[i.si as usize], VInst::Micro) {
+                    let s = &cp.stmts[i.si as usize];
                     for op in &cp.ops[s.ops.0 as usize..s.ops.1 as usize] {
                         self.max_vregs = self.max_vregs.max(op_rows(op));
                     }
                 }
             }
         }
-        // Emit the per-iteration step list, event slots, and instance
-        // boundaries, in source order.
-        let slots_start = self.slots.len() as u32;
-        let ends_start = self.ends.len() as u32;
+        // Emit the per-iteration step list and event slots, in source
+        // order.
+        let slots_start = self.slots.len();
         let items_start = self.sitems.len() as u32;
-        let mut off = 0u32;
-        for u in &units {
-            match *u {
-                Unit::Stmt(si) => self.push_inst(cp, si, var, &mut off),
-                Unit::Unroll { mvar, mseg } => {
-                    let m = &cp.segments[mseg as usize];
-                    for j in m.lo..=m.hi {
-                        self.sitems.push(SItem::Prime { var: mvar, val: j, prime: m.prime });
-                        for it in &cp.items[m.items.0 as usize..m.items.1 as usize] {
-                            let ItemKind::Stmt(si) = it.kind else { unreachable!() };
-                            self.push_inst(cp, si, var, &mut off);
-                        }
-                    }
-                }
+        for i in &insts {
+            if let (Some((mvar, val)), Some(prime)) = (i.subst, i.prime) {
+                self.sitems.push(SItem { req: i.req, step: Step::Prime { var: mvar, val, prime } });
             }
+            self.push_inst(cp, i.si, i.req, i.vector, var);
         }
-        self.max_slots = self.max_slots.max(off as usize);
-        self.strips[sidx as usize] = Some(Strip {
-            items: (items_start, self.sitems.len() as u32),
-            slots: (slots_start, self.slots.len() as u32),
-            ends: (ends_start, self.ends.len() as u32),
-            max_iters,
-            stmt_major,
-            unrolled,
-            iter_fuel: fuel,
-            iter_instances: instances,
-            iter_flops: flops,
-            iter_reads: reads,
-            iter_writes: writes,
-        });
+        self.max_slots = self.max_slots.max(self.slots.len() - slots_start);
+        self.strips[sidx as usize] =
+            Some(Strip { items: (items_start, self.sitems.len() as u32), stmt_major });
     }
 
-    /// Appends one statement instance's event slots, instance boundary,
-    /// and step-list entry.
-    fn push_inst(&mut self, cp: &CompiledProgram, si: u32, var: u16, off: &mut u32) {
+    /// Appends one statement instance's event slots and step-list entry.
+    fn push_inst(&mut self, cp: &CompiledProgram, si: u32, req: u64, vector: bool, var: u16) {
         let s = &cp.stmts[si as usize];
-        let mut n = 0u32;
+        let start = self.slots.len() as u32;
+        let mut slot = |w: u32, is_write: bool| {
+            self.slots.push(EvSlot { w, stride: pstride(cp, w, var), stmt: s.id, is_write });
+        };
         for op in &cp.ops[s.ops.0 as usize..s.ops.1 as usize] {
             if let Some(w) = op.traced_read_walker() {
-                self.slots.push(EvSlot {
-                    w,
-                    stride: pstride(cp, w, var),
-                    stmt: s.id,
-                    is_write: false,
-                });
-                n += 1;
+                slot(w, false);
             }
         }
         if s.traced {
             if s.reduce.is_some() {
-                self.slots.push(EvSlot {
-                    w: s.walker,
-                    stride: pstride(cp, s.walker, var),
-                    stmt: s.id,
-                    is_write: false,
-                });
-                n += 1;
+                slot(s.walker, false);
             }
-            self.slots.push(EvSlot {
-                w: s.walker,
-                stride: pstride(cp, s.walker, var),
-                stmt: s.id,
-                is_write: true,
-            });
-            n += 1;
+            slot(s.walker, true);
         }
-        *off += n;
-        self.ends.push((*off, s.id));
-        self.sitems.push(SItem::Stmt { si, nslots: n });
+        let slots = (start, self.slots.len() as u32);
+        self.sitems.push(SItem { req, step: Step::Stmt { si, slots, vector } });
     }
 }
 
@@ -634,48 +610,80 @@ fn inst_accs(cp: &CompiledProgram, si: u32, var: u16, subst: Option<(u16, i64)>)
     v
 }
 
-/// Conservative cross-iteration collision test between two affine
-/// accesses over a strip of `strip` iterations.
-fn aff_collide(a: &AffAcc, b: &AffAcc, strip: i64) -> bool {
+/// Where two affine accesses of one strip touch the same address.
+enum Meet {
+    /// Provably nowhere within a strip.
+    Never,
+    /// Exactly when the second access runs this many iterations after the
+    /// first (negative: before it; zero: in the same iteration).
+    At(i64),
+    /// Not provably related: assume every distance.
+    Any,
+}
+
+/// Conservative meeting test between two affine accesses over a strip of
+/// `strip` iterations.
+fn aff_meet(a: &AffAcc, b: &AffAcc, strip: i64) -> Meet {
     // Distinct arrays occupy disjoint byte sets under every layout
     // (including regrouped interleavings), so they can never alias.
     if a.array != b.array {
-        return false;
+        return Meet::Never;
     }
     if a.stride != b.stride || a.rest != b.rest {
         // Bases not provably related, or diverging strides: assume the
         // worst. Disjoint allocations with equal terms are handled by the
         // constant difference below.
-        return true;
+        return Meet::Any;
     }
     let dc = a.konst - b.konst;
     if a.stride == 0 {
-        // Loop-invariant addresses collide iff equal.
-        return dc == 0;
+        // Loop-invariant addresses meet in every iteration or in none.
+        return if dc == 0 { Meet::Any } else { Meet::Never };
     }
     if dc % a.stride != 0 {
-        return false;
+        return Meet::Never;
     }
+    // a(t) = b(t + q)  <=>  a.konst - b.konst = stride * q.
     let q = dc / a.stride;
-    q != 0 && q.abs() < strip
+    if q.abs() < strip {
+        Meet::At(q)
+    } else {
+        Meet::Never
+    }
 }
 
 /// True when statement-major kernel sweeps over a strip of up to `strip`
-/// iterations preserve every data dependence: for every pair of accesses
-/// in *different* instances with at least one write, the affine forms
-/// provably never touch the same address in different iterations of the
-/// same strip. Same-iteration collisions are fine — instance order within
-/// an iteration is preserved by the statement-major sweep — and
-/// same-instance dependences are handled by each kernel's sequential
+/// iterations preserve every data dependence. Iteration-major order runs
+/// instance `p1` of iteration `t1` before instance `p2` of iteration `t2`
+/// when `t1 < t2`, or `t1 == t2` and `p1` comes first in the body;
+/// statement-major order runs it first whenever `p1` comes first in the
+/// body. The two disagree only on pairs where the instance *later* in the
+/// body runs in an *earlier* iteration — so the sweep is legal when no two
+/// accesses of different instances, at least one a write, meet at such a
+/// negative distance. Same-iteration meetings keep their order, forward
+/// ones (a consumer after its producer in the body, reading what an
+/// earlier iteration produced — the shape alignment gives fused loops)
+/// do too, and same-instance dependences are handled by each kernel's
 /// ascending-iteration loop.
 fn deps_allow_stmt_major(accs: &[Vec<AffAcc>], strip: i64) -> bool {
-    for p1 in 0..accs.len() {
-        for p2 in p1 + 1..accs.len() {
-            for a in &accs[p1] {
-                for b in &accs[p2] {
-                    if (a.write || b.write) && aff_collide(a, b, strip) {
-                        return false;
-                    }
+    // Only accesses of one array can meet, so pair them up per array: a
+    // fused body of 60 statements over 50 arrays stays far from quadratic.
+    let mut by_array: Vec<(ArrayId, usize, &AffAcc)> = accs
+        .iter()
+        .enumerate()
+        .flat_map(|(p, list)| list.iter().map(move |a| (a.array, p, a)))
+        .collect();
+    by_array.sort_by_key(|&(array, p, _)| (array, p));
+    for group in by_array.chunk_by(|x, y| x.0 == y.0) {
+        for (k, &(_, p1, a)) in group.iter().enumerate() {
+            for &(_, p2, b) in &group[k + 1..] {
+                if p1 == p2 || !(a.write || b.write) {
+                    continue;
+                }
+                match aff_meet(a, b, strip) {
+                    Meet::Never => {}
+                    Meet::At(q) if q >= 0 => {}
+                    Meet::At(_) | Meet::Any => return false,
                 }
             }
         }
@@ -684,17 +692,20 @@ fn deps_allow_stmt_major(accs: &[Vec<AffAcc>], strip: i64) -> bool {
 }
 
 /// True when one `VInst::Micro` instance may execute op-major over a
-/// strip: one pass per op across all iterations, stores last. That
-/// reorders each iteration's reads before *earlier* iterations' stores,
-/// which is unobservable unless a read can touch the instance's own write
-/// at a nonzero iteration distance within the strip. Distance zero is
-/// fine — per-iteration execution also reads before its own store — and
-/// the reduce read-modify-write stays sequential in ascending iteration
-/// order in both schedules. `acc` is the instance's access list with the
-/// write last.
+/// strip: one pass per op across all iterations, stores last. That runs
+/// every read of the strip before every store, which is unobservable
+/// unless a read touches what the instance's own write stored in an
+/// *earlier* iteration of the strip. A read of an address stored in the
+/// same or a later iteration sees the old value in both schedules, and the
+/// reduce read-modify-write stays sequential in ascending iteration order
+/// in both. `acc` is the instance's access list with the write last.
 fn micro_vec_ok(acc: &[AffAcc], strip: i64) -> bool {
     let (w, reads) = acc.split_last().expect("instance access list has a write");
-    reads.iter().all(|r| !aff_collide(w, r, strip))
+    reads.iter().all(|r| match aff_meet(w, r, strip) {
+        Meet::Never => true,
+        Meet::At(q) => q <= 0,
+        Meet::Any => false,
+    })
 }
 
 /// Vector-register rows an op touches (binaries read one row deeper).
@@ -746,6 +757,7 @@ pub(crate) fn run<S: TraceSink>(
         ex: Exec::new(cp, mem, vars, fuel),
         plan,
         bslots: Vec::with_capacity(plan.max_slots),
+        bends: Vec::new(),
         vregs: vec![0.0; plan.max_vregs * MAX_STRIP],
     };
     let mut result = Ok(());
@@ -778,11 +790,14 @@ enum Kern {
 
 /// The VM executor: tape execution state plus the strip's batch-slot
 /// descriptor buffer (one entry per event position of an iteration —
-/// building it is the *only* per-strip event work the VM does).
+/// building it is the *only* per-strip event work the VM does) and the
+/// instance boundaries of the segment being run under the current mask.
+/// Both are per-iteration lists: nothing here grows with the strip length.
 struct VmExec<'a> {
     ex: Exec<'a>,
     plan: &'a VmPlan,
     bslots: Vec<BatchSlot>,
+    bends: Vec<(u32, StmtId)>,
     /// Vector register file of the op-major Micro kernel:
     /// `max_vregs` rows of [`MAX_STRIP`] elements.
     vregs: Vec<f64>,
@@ -820,27 +835,28 @@ impl VmExec<'_> {
         }
         for s in l.segments.0..l.segments.1 {
             let seg = &cp.segments[s as usize];
-            // Strip path: a planned guard-free segment with enough fuel
-            // that exhaustion inside it is impossible — charge fuel and
-            // statistics in bulk (the flat segment's per-iteration
-            // constants, extended to cover unrolled inner-loop iterations)
-            // and run whole iteration strips per dispatch.
+            let trips = (seg.hi - seg.lo + 1) as u64;
+            // Strip path: a planned segment with enough fuel that
+            // exhaustion inside it is impossible under this entry's mask —
+            // charge the active members' fuel and statistics in bulk and
+            // run whole iteration strips per dispatch.
             if let Some(strip) = &self.plan.strips[s as usize] {
-                let trips = (seg.hi - seg.lo + 1) as u64;
-                let cost = trips * strip.iter_fuel;
-                if self.ex.fuel >= cost {
+                let (fuel, per_iter) = self.plan.iteration(cp, strip, inactive, &mut self.bends);
+                if let Some(cost) = trips.checked_mul(fuel).filter(|&c| c <= self.ex.fuel) {
                     self.ex.fuel -= cost;
-                    self.ex.instances += trips * strip.iter_instances;
-                    self.ex.flops += trips * strip.iter_flops;
-                    self.ex.reads += trips * strip.iter_reads;
-                    self.ex.writes += trips * strip.iter_writes;
-                    self.run_strips(l.var, seg, strip, sink);
+                    self.ex.instances += trips * per_iter.instances;
+                    self.ex.flops += trips * per_iter.flops;
+                    self.ex.reads += trips * per_iter.reads;
+                    self.ex.writes += trips * per_iter.writes;
+                    if !self.bends.is_empty() {
+                        self.run_strips(l.var, seg, strip, inactive, sink);
+                    }
                     continue;
                 }
             }
             let items = &cp.items[seg.items.0 as usize..seg.items.1 as usize];
             if !items.iter().any(|it| it.req & inactive == 0) {
-                self.ex.spend_bulk((seg.hi - seg.lo + 1) as u64)?;
+                self.ex.spend_bulk(trips)?;
                 continue;
             }
             self.ex.vars[l.var as usize] = seg.lo;
@@ -858,23 +874,32 @@ impl VmExec<'_> {
         Ok(())
     }
 
-    /// Runs one planned segment as a sequence of iteration strips. Fuel
-    /// and statistics are already charged in bulk by the caller. Unrolled
-    /// strips interleave `Prime` steps that re-base each inner iteration's
-    /// walkers at the strip's parent value before its statements run (or
-    /// before their event slots are materialized).
-    fn run_strips<S: TraceSink>(&mut self, var: u16, seg: &Segment, strip: &Strip, sink: &mut S) {
+    /// Runs one planned segment as a sequence of iteration strips, with the
+    /// steps whose bits are set in `inactive` left out. Fuel and statistics
+    /// are already charged in bulk by the caller, which also left the
+    /// active statements' instance boundaries in `self.bends`. `Prime`
+    /// steps re-base each unrolled inner iteration's walkers at the strip's
+    /// parent value before its statements run (or before their event slots
+    /// are materialized).
+    fn run_strips<S: TraceSink>(
+        &mut self,
+        var: u16,
+        seg: &Segment,
+        strip: &Strip,
+        inactive: u64,
+        sink: &mut S,
+    ) {
         let cp = self.ex.cp;
         let plan = self.plan;
         self.ex.vars[var as usize] = seg.lo;
         self.ex.prime(seg.prime);
         let advance = &cp.advance_list[seg.advance.0 as usize..seg.advance.1 as usize];
-        let slots = &plan.slots[strip.slots.0 as usize..strip.slots.1 as usize];
-        let iter_ends = &plan.ends[strip.ends.0 as usize..strip.ends.1 as usize];
         let sitems = &plan.sitems[strip.items.0 as usize..strip.items.1 as usize];
+        let active = || sitems.iter().filter(|it| it.req & inactive == 0);
+        let ends = mem::take(&mut self.bends);
         let mut t = seg.lo;
         while t <= seg.hi {
-            let len = (strip.max_iters as i64).min(seg.hi - t + 1);
+            let len = (MAX_STRIP as i64).min(seg.hi - t + 1);
             self.ex.vars[var as usize] = t;
             // Event pass: every address is affine in the strip iteration,
             // so the strip's complete event stream is known here, before
@@ -883,57 +908,37 @@ impl VmExec<'_> {
             // work regardless of strip length. Unrolled inner walkers are
             // primed as the walk reaches them.
             self.bslots.clear();
-            if strip.unrolled {
-                let mut next = strip.slots.0 as usize;
-                for it in sitems {
-                    match *it {
-                        SItem::Prime { var: mv, val, prime } => {
-                            self.ex.vars[mv as usize] = val;
-                            self.ex.prime(prime);
-                        }
-                        SItem::Stmt { nslots, .. } => {
-                            for sl in &plan.slots[next..next + nslots as usize] {
-                                let st = self.ex.wk[sl.w as usize];
-                                self.bslots.push(BatchSlot {
-                                    addr: st.cur as u64,
-                                    stride: sl.stride,
-                                    array: st.array,
-                                    ref_id: st.ref_id,
-                                    stmt: sl.stmt,
-                                    is_write: sl.is_write,
-                                });
-                            }
-                            next += nslots as usize;
+            for it in active() {
+                match it.step {
+                    Step::Prime { var: mv, val, prime } => {
+                        self.ex.vars[mv as usize] = val;
+                        self.ex.prime(prime);
+                    }
+                    Step::Stmt { slots, .. } => {
+                        for sl in &plan.slots[slots.0 as usize..slots.1 as usize] {
+                            let st = self.ex.wk[sl.w as usize];
+                            self.bslots.push(BatchSlot {
+                                addr: st.cur as u64,
+                                stride: sl.stride,
+                                array: st.array,
+                                ref_id: st.ref_id,
+                                stmt: sl.stmt,
+                                is_write: sl.is_write,
+                            });
                         }
                     }
                 }
-            } else {
-                for sl in slots {
-                    let st = self.ex.wk[sl.w as usize];
-                    self.bslots.push(BatchSlot {
-                        addr: st.cur as u64,
-                        stride: sl.stride,
-                        array: st.array,
-                        ref_id: st.ref_id,
-                        stmt: sl.stmt,
-                        is_write: sl.is_write,
-                    });
-                }
             }
-            sink.record_batch(&TraceBatch {
-                slots: &self.bslots,
-                ends: iter_ends,
-                iters: len as u32,
-            });
+            sink.record_batch(&TraceBatch { slots: &self.bslots, ends: &ends, iters: len as u32 });
             // Compute pass.
             if strip.stmt_major {
-                for it in sitems {
-                    match *it {
-                        SItem::Prime { var: mv, val, prime } => {
+                for it in active() {
+                    match it.step {
+                        Step::Prime { var: mv, val, prime } => {
                             self.ex.vars[mv as usize] = val;
                             self.ex.prime(prime);
                         }
-                        SItem::Stmt { si, .. } => self.kernel(si, len, var, t),
+                        Step::Stmt { si, vector, .. } => self.kernel(si, vector, len, var, t),
                     }
                 }
                 for &(w, stride) in advance {
@@ -942,8 +947,8 @@ impl VmExec<'_> {
             } else {
                 for k in 0..len {
                     self.ex.vars[var as usize] = t + k;
-                    for it in sitems {
-                        let SItem::Stmt { si, .. } = *it else {
+                    for it in active() {
+                        let Step::Stmt { si, .. } = it.step else {
                             unreachable!("unrolled strips are statement-major")
                         };
                         self.compute_one(si);
@@ -956,6 +961,7 @@ impl VmExec<'_> {
             t += len;
         }
         self.ex.vars[var as usize] = seg.hi;
+        self.bends = ends;
     }
 
     /// Kernel operand cursor of walker `w`: current address plus the
@@ -969,7 +975,7 @@ impl VmExec<'_> {
     /// exactly the original per-iteration order of this statement, so
     /// same-statement loop-carried dependences are preserved by
     /// construction.
-    fn kernel(&mut self, si: u32, len: i64, var: u16, t0: i64) {
+    fn kernel(&mut self, si: u32, vector: bool, len: i64, var: u16, t0: i64) {
         let cp = self.ex.cp;
         let s = cp.stmts[si as usize];
         let plan = self.plan;
@@ -982,9 +988,8 @@ impl VmExec<'_> {
                 let list = &plan.chain_ws[ws.0 as usize..ws.1 as usize];
                 Kern::Chain(list.iter().map(|&w| self.cur_of(w, var)).collect(), kind)
             }
-            // The planner admits Micro statements to statement-major
-            // strips only when their op-major vector execution is safe.
-            VInst::Micro => return self.vec_micro(si, len, var, t0),
+            VInst::Micro if vector => return self.vec_micro(si, len, var, t0),
+            VInst::Micro => return self.seq_micro(si, len, var, t0),
         };
         let sd = pstride(cp, s.walker, var);
         let mut pd = self.ex.wk[s.walker as usize].cur;
@@ -1066,8 +1071,8 @@ impl VmExec<'_> {
     /// on a row of the vector register file, then the store phase commits
     /// row 0 in ascending iteration order. One dispatch per op per strip
     /// instead of per iteration — the vectorized form of `Exec::exec_ops`.
-    /// Admitted by [`micro_vec_ok`] only when the schedule change
-    /// (a strip's reads before its stores) is unobservable; each element
+    /// Taken only where [`micro_vec_ok`] showed the schedule change
+    /// (a strip's reads before its stores) unobservable; each element
     /// still runs the exact op sequence of the tape, so memory is
     /// bit-identical.
     fn vec_micro(&mut self, si: u32, len: i64, var: u16, t0: i64) {
@@ -1180,6 +1185,35 @@ impl VmExec<'_> {
                 }
             }
         }
+    }
+
+    /// One Micro statement over a strip, one iteration at a time: what a
+    /// statement-major strip does with an instance that reads its own
+    /// earlier stores, where the op-major sweep of [`Self::vec_micro`]
+    /// would be observable.
+    fn seq_micro(&mut self, si: u32, len: i64, var: u16, t0: i64) {
+        let cp = self.ex.cp;
+        let s = cp.stmts[si as usize];
+        let steps: Vec<(u32, i64)> = cp.ops[s.ops.0 as usize..s.ops.1 as usize]
+            .iter()
+            .filter_map(any_read_walker)
+            .chain([s.walker])
+            .map(|w| (w, pstride(cp, w, var)))
+            .filter(|&(_, stride)| stride != 0)
+            .collect();
+        for k in 0..len {
+            self.ex.vars[var as usize] = t0 + k;
+            self.compute_one(si);
+            for &(w, stride) in &steps {
+                self.ex.wk[w as usize].cur += stride;
+            }
+        }
+        // The caller moves every walker of the segment past the strip once
+        // the compute pass is over: hand these back where it expects them.
+        for &(w, stride) in &steps {
+            self.ex.wk[w as usize].cur -= stride * len;
+        }
+        self.ex.vars[var as usize] = t0;
     }
 
     /// Iteration-major quiet compute of one statement instance: identical
@@ -1296,6 +1330,13 @@ mod tests {
         (VmPlan::build(&cp), cp)
     }
 
+    /// True when the strip carries `Prime` steps (an unrolled inner loop).
+    fn unrolled(plan: &VmPlan, strip: &Strip) -> bool {
+        plan.sitems[strip.items.0 as usize..strip.items.1 as usize]
+            .iter()
+            .any(|it| matches!(it.step, Step::Prime { .. }))
+    }
+
     #[test]
     fn stencil_selects_chain_superinstruction() {
         let (plan, _) = plan_of(
@@ -1379,38 +1420,39 @@ for i = 1, N { B[i] = A[i] }
 
     #[test]
     fn loop_carried_write_disables_statement_major_only_when_it_must() {
-        // Two statements where s2 reads what s1 wrote one iteration ago:
-        // statement-major sweeping would let s1 run the whole strip before
-        // s2 sees any of it — which is exactly what the dependence check
-        // must reject. Same-iteration flow (distance 0) is fine.
-        let (plan, _) = plan_of(
-            "
-program dep
-param N
-array A[N], B[N], C[N]
-for i = 2, N { B[i] = A[i] + A[i]
-               C[i] = B[i-1] + A[i] }
-",
-            16,
-        );
-        let strip = plan.strips.iter().flatten().next().expect("flat segment must plan a strip");
+        let stmt_major = |body: &str| {
+            let src = format!(
+                "program dep\nparam N\narray A[N], B[N], C[N]\nfor i = 2, N {{ {body} }}\n"
+            );
+            let (plan, _) = plan_of(&src, 16);
+            plan.strips.iter().flatten().next().expect("segment must plan a strip").stmt_major
+        };
+        // s1 reads what s2 — *later* in the body — wrote one iteration
+        // ago. Statement-major sweeping would run s1 over the whole strip
+        // before s2 has produced anything, which is exactly what the
+        // dependence check must reject.
         assert!(
-            !strip.stmt_major,
-            "cross-statement distance-1 dependence must force iteration-major compute"
+            !stmt_major("B[i] = C[i-1] + A[i]\n C[i] = A[i] + A[i]"),
+            "a value carried backward through the body must force iteration-major compute"
+        );
+        // The anti-dependence in the same direction: s2 reads B[i] before
+        // s1 of the *next* iteration overwrites it.
+        assert!(
+            !stmt_major("B[i-1] = A[i] + A[i]\n C[i] = B[i] + A[i]"),
+            "a later overwrite by an earlier statement must force iteration-major compute"
+        );
+        // The producer first and the consumer reading an earlier iteration
+        // (the shape alignment gives fused loops): s1 finishes the strip
+        // before s2 starts, and s2 still sees every value it saw before.
+        assert!(
+            stmt_major("B[i] = A[i] + A[i]\n C[i] = B[i-1] + A[i]"),
+            "a value carried forward through the body keeps statement-major"
         );
         // Independent outputs: statement-major is safe and must be kept.
-        let (plan2, _) = plan_of(
-            "
-program indep
-param N
-array A[N], B[N], C[N]
-for i = 2, N { B[i] = A[i] + A[i]
-               C[i] = A[i-1] + A[i] }
-",
-            16,
+        assert!(
+            stmt_major("B[i] = A[i] + A[i]\n C[i] = A[i-1] + A[i]"),
+            "independent statements must sweep statement-major"
         );
-        let strip2 = plan2.strips.iter().flatten().next().unwrap();
-        assert!(strip2.stmt_major, "independent statements must sweep statement-major");
     }
 
     #[test]
@@ -1425,12 +1467,12 @@ param N
 array U[5, N], R[5, N]
 for i = 2, N - 1 { for m = 1, 5 { R[m, i] = U[m, i-1] + U[m, i+1] } }
 ";
-        let (plan, _) = plan_of(src, 24);
+        let (plan, cp) = plan_of(src, 24);
         let strip = plan
             .strips
             .iter()
             .flatten()
-            .find(|s| s.unrolled)
+            .find(|s| unrolled(&plan, s))
             .expect("constant-trip inner loop must unroll into the parent strip");
         assert!(strip.stmt_major, "unrolled strips are admitted statement-major only");
         assert_eq!(
@@ -1441,8 +1483,9 @@ for i = 2, N - 1 { for m = 1, 5 { R[m, i] = U[m, i-1] + U[m, i+1] } }
         // Per parent iteration the interpreter charges 1 for the parent
         // item plus, per inner iteration, 1 for the loop step and 1 for
         // the statement: 1 + 5 × 2.
-        assert_eq!(strip.iter_fuel, 11);
-        assert_eq!(strip.iter_instances, 5);
+        let (fuel, per_iter) = plan.iteration(&cp, strip, 0, &mut Vec::new());
+        assert_eq!(fuel, 11);
+        assert_eq!(per_iter.instances, 5);
         // And the unrolled execution must stay observationally exact.
         let prog = gcr_frontend::parse(src).unwrap();
         let bind = ParamBinding::new(vec![24]);
@@ -1472,7 +1515,7 @@ for i = 2, N - 1 { for m = 1, 4 { R[m, i] = R[m + 1, i - 1] + U[m, i] } }
             24,
         );
         assert!(
-            plan2.strips.iter().flatten().all(|s| !s.unrolled),
+            plan2.strips.iter().flatten().all(|s| !unrolled(&plan2, s)),
             "cross-instance strip-carried dependence must reject unrolling"
         );
     }

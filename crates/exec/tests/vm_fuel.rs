@@ -2,16 +2,18 @@
 //! interpreter event-for-event at *every* fuel level, not just at the
 //! halfway points the conformance oracle probes.
 //!
-//! The VM charges flat segments in bulk and takes the strip path only when
-//! the remaining fuel provably covers the whole segment; these tests sweep
-//! fuel exhaustively from 0 to past the program's total cost, so every
-//! bulk/exact boundary — segment entry with exactly enough fuel, one unit
-//! short, exhaustion mid-segment on the exact path — is crossed for every
-//! program shape the strip executor specializes (single-statement kernels,
-//! fused multi-statement segments, loop-carried chains, reductions, and
-//! guarded bodies that never reach the strip path at all).
+//! The VM charges planned segments in bulk and takes the strip path only
+//! when the remaining fuel provably covers the whole segment under the
+//! mask of the current loop entry; these tests sweep fuel exhaustively from
+//! 0 to past the program's total cost, so every bulk/exact boundary —
+//! segment entry with exactly enough fuel, one unit short, exhaustion
+//! mid-segment on the exact path — is crossed for every program shape the
+//! strip executor specializes (single-statement kernels, fused
+//! multi-statement segments, loop-carried chains, reductions, guarded
+//! bodies whose segments differ, and bodies under outer conditions, whose
+//! strips run a different member subset per loop entry).
 
-use gcr_exec::{AccessEvent, ExecEngine, Machine, TraceSink};
+use gcr_exec::{AccessEvent, ExecEngine, Machine, TraceBatch, TraceSink};
 use gcr_ir::{
     Expr, GcrError, LinExpr, ParamBinding, ProgramBuilder, Range, ReduceOp, Stmt, StmtId, Subscript,
 };
@@ -53,16 +55,18 @@ fn run_at(prog: &gcr_ir::Program, n: i64, engine: ExecEngine, fuel: u64) -> Part
     Partial { outcome, events: cap.0, stats: m.stats(), bits }
 }
 
-/// Sweeps every fuel level from 0 to `total + 2` and requires the VM's
-/// partial run to match the interpreter on outcome, event stream, stats,
-/// and memory bits at each one.
+/// Sweeps every fuel level from 0 to two past the first that lets the
+/// program finish, and requires the VM's partial run to match the
+/// interpreter on outcome, event stream, stats, and memory bits at each
+/// one.
 fn bisect_fuel(prog: &gcr_ir::Program, n: i64) {
     let full = run_at(prog, n, ExecEngine::Interp, u64::MAX);
     assert!(full.outcome.is_ok());
-    let total = full.stats.instances;
-    assert!(total > 0, "test program must execute something");
-    for fuel in 0..=total + 2 {
+    assert!(full.stats.instances > 0, "test program must execute something");
+    let (mut fuel, mut finished) = (0, 0);
+    while finished < 3 {
         let a = run_at(prog, n, ExecEngine::Interp, fuel);
+        finished += u32::from(a.outcome.is_ok());
         let b = run_at(prog, n, ExecEngine::Vm, fuel);
         assert_eq!(a.outcome, b.outcome, "outcome diverged at fuel {fuel}");
         assert_eq!(a.stats, b.stats, "stats diverged at fuel {fuel}");
@@ -75,6 +79,7 @@ fn bisect_fuel(prog: &gcr_ir::Program, n: i64) {
         );
         assert_eq!(a.events, b.events, "event stream diverged at fuel {fuel}");
         assert_eq!(a.bits, b.bits, "memory diverged at fuel {fuel}");
+        fuel += 1;
     }
 }
 
@@ -194,4 +199,91 @@ fn fuel_bisection_intrinsic_chain() {
     let l = b.for_(i, LinExpr::konst(2), LinExpr::param(n).add_const(-1), vec![s]);
     b.push(l);
     bisect_fuel(&b.finish(), 11);
+}
+
+/// A body under outer conditions: every inner-loop entry runs the same
+/// strip plan under a different mask (nothing, one statement, two, all
+/// three), next to a guard that splits the inner range. Exhaustion inside
+/// a masked segment must take the exact path with the interpreter's error
+/// and event prefix, at every fuel value.
+const MASKED: &str = "
+program masked
+param N
+array A[N, N], B[N, N]
+for i = 1, N {
+  for j = 2, N - 1 {
+    when i in [2, 3] A[j, i] = f(A[j-1, i], B[j, i])
+    B[j, i] = A[j, i] + B[j+1, i]
+    when i in [3, N - 1] when [3, N - 2] A[j, i] max= B[j-1, i]
+  }
+}
+";
+
+#[test]
+fn fuel_bisection_masked_strips() {
+    let prog = gcr_frontend::parse(MASKED).unwrap();
+    let mut m = Machine::new(&prog, ParamBinding::new(vec![6])).with_engine(ExecEngine::Vm);
+    assert!(m.compiles(), "{:?}", m.refusal());
+    bisect_fuel(&prog, 6);
+}
+
+/// One batch as a sink receives it: the statement of every slot, the
+/// instance boundaries, the iteration count.
+type Batch = (Vec<usize>, Vec<(u32, usize)>, u32);
+
+#[derive(Default)]
+struct Batches {
+    batches: Vec<Batch>,
+    singles: usize,
+}
+
+impl TraceSink for Batches {
+    fn access(&mut self, _ev: AccessEvent) {
+        self.singles += 1;
+    }
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+        self.batches.push((
+            batch.slots.iter().map(|sl| sl.stmt.index()).collect(),
+            batch.ends.iter().map(|&(end, stmt)| (end, stmt.index())).collect(),
+            batch.iters,
+        ));
+    }
+}
+
+/// One loop, one strip plan, entered under different masks: each entry's
+/// batch carries exactly the slots and instance boundaries of the members
+/// its mask leaves on, with the boundary offsets recomputed for the
+/// shorter iteration.
+#[test]
+fn one_plan_emits_a_different_batch_per_mask() {
+    let prog = gcr_frontend::parse(
+        "
+program masks
+param N
+array A[N, N], B[N, N]
+for i = 1, N {
+  for j = 1, N {
+    when i in [2, 3] A[j, i] = B[j, i]
+    B[j, i] = f(B[j, i])
+    when i in [3, 4] A[j, i] sum= B[j, i]
+  }
+}
+",
+    )
+    .unwrap();
+    let mut m = Machine::new(&prog, ParamBinding::new(vec![5])).with_engine(ExecEngine::Vm);
+    let mut sink = Batches::default();
+    m.run(&mut sink);
+    assert_eq!(sink.singles, 0, "every inner-loop entry must run as a strip");
+    // Statement 0 has a read and a write, statement 1 the same, statement
+    // 2 a read, the reduction's own read, and the write.
+    let only_1: Batch = (vec![1, 1], vec![(2, 1)], 5);
+    let expected: Vec<Batch> = vec![
+        only_1.clone(),
+        (vec![0, 0, 1, 1], vec![(2, 0), (4, 1)], 5),
+        (vec![0, 0, 1, 1, 2, 2, 2], vec![(2, 0), (4, 1), (7, 2)], 5),
+        (vec![1, 1, 2, 2, 2], vec![(2, 1), (5, 2)], 5),
+        only_1,
+    ];
+    assert_eq!(sink.batches, expected);
 }
