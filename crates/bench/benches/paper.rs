@@ -5,12 +5,22 @@
 //! the cost of regenerating them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gcr_bench::{capture_trace, measure_strategy};
+use gcr_apps::AppSpec;
+use gcr_bench::capture_trace;
+use gcr_bench::sweep::{measure_strategy_report_cached, MeasureCache};
+use gcr_bench::Measurement;
 use gcr_core::pipeline::Strategy;
 use gcr_core::regroup::RegroupLevel;
 use gcr_ir::ParamBinding;
 use gcr_reuse::driven::{measure_program_order, reuse_driven_order};
 use std::hint::black_box;
+
+/// One cold sweep point, as `fig10` and `table6` take it (nothing memoized).
+fn measure_strategy(app: &AppSpec, strategy: Strategy, size: i64, steps: usize) -> Measurement {
+    measure_strategy_report_cached(&MeasureCache::new(), "bench", app, strategy, size, steps)
+        .expect("the bundled apps measure at bench sizes")
+        .0
+}
 
 /// Figure 3 pipeline: trace capture + program-order histogram +
 /// reuse-driven reorder, on ADI.

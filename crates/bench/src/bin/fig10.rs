@@ -15,16 +15,15 @@
 //! content-keyed measurement cache so the `--ablation` superset reuses the
 //! base run's points, and the sweep wall clock lands in the report set's
 //! `timing` section.
-//!
-//! Usage: `fig10 [--size-scale F] [--steps K] [--ablation] [--app NAME]
-//! [--threads N] [--json PATH]`
 
 use gcr_bench::sweep::{app_jobs, run_jobs, MeasureCache, SweepJob};
-use gcr_bench::{fig10_strategies, print_table, STEPS};
+use gcr_bench::{arg, fig10_strategies, print_table, STEPS};
 use gcr_cli::{ReportSet, SweepTiming};
 use gcr_core::pipeline::Strategy;
 use gcr_core::regroup::RegroupLevel;
 use std::time::Instant;
+
+const USAGE: &str = "usage: fig10 [--size-scale F] [--steps K] [--ablation] [--app NAME] [--threads N] [--json PATH]";
 
 fn main() {
     // Fail fast on a bad GCR_EXEC instead of silently measuring under the
@@ -33,16 +32,12 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let scale: f64 = get("--size-scale").map(|s| s.parse().unwrap()).unwrap_or(1.0);
-    let steps: usize = get("--steps").map(|s| s.parse().unwrap()).unwrap_or(STEPS);
-    let ablation = args.iter().any(|a| a == "--ablation");
-    let only = get("--app");
-    let threads: usize = get("--threads").map(|s| s.parse().unwrap()).unwrap_or(0);
-    let json_path = get("--json").unwrap_or_else(|| "results/fig10.json".into());
+    let scale: f64 = arg(USAGE, "--size-scale").unwrap_or(1.0);
+    let steps: usize = arg(USAGE, "--steps").unwrap_or(STEPS);
+    let ablation = std::env::args().any(|a| a == "--ablation");
+    let only: Option<String> = arg(USAGE, "--app");
+    let threads: usize = arg(USAGE, "--threads").unwrap_or(0);
+    let json_path: String = arg(USAGE, "--json").unwrap_or_else(|| "results/fig10.json".into());
     let mut set = ReportSet::new("fig10", "Figure 10: effect of transformations");
 
     // One flat job list across apps and strategies, so the pool balances

@@ -17,10 +17,8 @@
 //! parallel sweep engine (`GCR_THREADS`/`--threads`); each worker renders
 //! its text plot off-thread and the driver prints them in input order, so
 //! stdout and the JSON are byte-identical across thread counts.
-//!
-//! Usage: `fig3 [--quick] [--threads N] [--json PATH]`
 
-use gcr_bench::{capture_trace, histogram_text};
+use gcr_bench::{arg, capture_trace, histogram_text};
 use gcr_cli::report::{ProfileSection, ProgramInfo};
 use gcr_cli::{Report, ReportSet, SweepTiming};
 use gcr_core::{fuse_program, FusionOptions};
@@ -36,6 +34,8 @@ struct PlotJob {
     with_fusion: bool,
 }
 
+const USAGE: &str = "usage: fig3 [--quick] [--threads N] [--json PATH]";
+
 fn main() {
     // Fail fast on a bad GCR_EXEC instead of silently measuring under the
     // default engine.
@@ -43,13 +43,9 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let threads: usize = get("--threads").map(|s| s.parse().unwrap()).unwrap_or(0);
-    let json_path = get("--json").unwrap_or_else(|| "results/fig3.json".into());
+    let quick = std::env::args().any(|a| a == "--quick");
+    let threads: usize = arg(USAGE, "--threads").unwrap_or(0);
+    let json_path: String = arg(USAGE, "--json").unwrap_or_else(|| "results/fig3.json".into());
     let adi_sizes: &[i64] = if quick { &[26, 50] } else { &[50, 100] };
     let sp_sizes: &[i64] = if quick { &[8, 14] } else { &[14, 28] };
     let mut set = ReportSet::new("fig3", "Figure 3: effect of reuse-driven execution");

@@ -9,21 +9,18 @@
 //! drift — this is what CI's `gallery-smoke` job runs, uploading the
 //! freshly produced `results/gallery/` as an artifact on failure so the
 //! diff can be reviewed (and blessed) without reproducing locally.
-//!
-//! Usage: `gallery [--threads N] [--json PATH] [--check]`
 
+use gcr_bench::arg;
 use gcr_bench::gallery::{run_gallery, GALLERY_HIERARCHY};
 use std::time::Instant;
 
+const USAGE: &str = "usage: gallery [--threads N] [--json PATH] [--check]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let threads: usize = get("--threads").map(|s| s.parse().unwrap()).unwrap_or(0);
+    let threads: usize = arg(USAGE, "--threads").unwrap_or(0);
     let threads = if threads == 0 { gcr_par::thread_count() } else { threads };
-    let json_path = get("--json").unwrap_or_else(|| "results/gallery.json".into());
-    let check = args.iter().any(|a| a == "--check");
+    let json_path: String = arg(USAGE, "--json").unwrap_or_else(|| "results/gallery.json".into());
+    let check = std::env::args().any(|a| a == "--check");
 
     println!("gallery: {GALLERY_HIERARCHY} on {threads} threads (VM engine)");
     let start = Instant::now();

@@ -8,9 +8,8 @@
 //! depths are optimized in parallel on the sweep engine
 //! (`GCR_THREADS`/`--threads`); workers build their text off-thread and
 //! the driver prints in input order.
-//!
-//! Usage: `sp_stats [--threads N] [--json PATH]`
 
+use gcr_bench::arg;
 use gcr_cli::{Report, ReportSet, SweepTiming};
 use gcr_core::checked::{apply_strategy_checked_traced, SafetyOptions};
 use gcr_core::fusion::loops_per_level;
@@ -20,13 +19,11 @@ use gcr_core::Tracer;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+const USAGE: &str = "usage: sp_stats [--threads N] [--json PATH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let threads: usize = get("--threads").map(|s| s.parse().unwrap()).unwrap_or(0);
-    let json_path = get("--json").unwrap_or_else(|| "results/sp_stats.json".into());
+    let threads: usize = arg(USAGE, "--threads").unwrap_or(0);
+    let json_path: String = arg(USAGE, "--json").unwrap_or_else(|| "results/sp_stats.json".into());
     let mut set = ReportSet::new("sp_stats", "Section 4.4: SP transformation statistics");
 
     let orig = gcr_apps::sp::program();

@@ -13,15 +13,15 @@
 //! sweep engine (`GCR_THREADS`/`--threads`, `GCR_MEASURE_CACHE`); averages
 //! are accumulated serially in app order afterwards, so every printed
 //! digit is byte-identical across thread counts.
-//!
-//! Usage: `table6 [--size-scale F] [--steps K] [--threads N] [--json PATH]`
 
 use gcr_bench::sweep::{app_jobs, run_jobs, MeasureCache};
-use gcr_bench::{print_table, Measurement, STEPS};
+use gcr_bench::{arg, print_table, Measurement, STEPS};
 use gcr_cli::{ReportSet, SweepTiming};
 use gcr_core::pipeline::Strategy;
 use gcr_core::regroup::RegroupLevel;
 use std::time::Instant;
+
+const USAGE: &str = "usage: table6 [--size-scale F] [--steps K] [--threads N] [--json PATH]";
 
 fn main() {
     // Fail fast on a bad GCR_EXEC instead of silently measuring under the
@@ -30,14 +30,10 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(2);
     }
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let scale: f64 = get("--size-scale").map(|s| s.parse().unwrap()).unwrap_or(1.0);
-    let steps: usize = get("--steps").map(|s| s.parse().unwrap()).unwrap_or(STEPS);
-    let threads: usize = get("--threads").map(|s| s.parse().unwrap()).unwrap_or(0);
-    let json_path = get("--json").unwrap_or_else(|| "results/table6.json".into());
+    let scale: f64 = arg(USAGE, "--size-scale").unwrap_or(1.0);
+    let steps: usize = arg(USAGE, "--steps").unwrap_or(STEPS);
+    let threads: usize = arg(USAGE, "--threads").unwrap_or(0);
+    let json_path: String = arg(USAGE, "--json").unwrap_or_else(|| "results/table6.json".into());
     let mut set = ReportSet::new(
         "table6",
         "Section 6: normalized misses and memory traffic (NoOpt / SGI-like / New)",

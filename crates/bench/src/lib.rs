@@ -10,17 +10,12 @@
 pub mod gallery;
 pub mod sweep;
 
-use gcr_apps::AppSpec;
-use gcr_cache::{CostModel, HierarchySink, MemoryHierarchy, MissCounts, PhasedHierarchySink};
-use gcr_cli::report::SimSection;
-use gcr_cli::Report;
-use gcr_core::checked::{apply_strategy_checked, apply_strategy_checked_traced, SafetyOptions};
-use gcr_core::pipeline::{apply_strategy, Strategy};
-use gcr_core::Tracer;
+use gcr_cache::MissCounts;
+use gcr_core::pipeline::Strategy;
 use gcr_exec::{ExecStats, Machine};
-use gcr_ir::{GcrError, ParamBinding};
+use gcr_ir::ParamBinding;
 use gcr_reuse::distance::Histogram;
-use gcr_reuse::{DistanceSink, InstrTrace, TraceCapture};
+use gcr_reuse::{InstrTrace, TraceCapture};
 
 /// One measured run of one program version.
 #[derive(Clone, Debug)]
@@ -77,106 +72,9 @@ fn ratio(a: u64, b: u64) -> f64 {
 /// Default number of measured time steps.
 pub const STEPS: usize = 3;
 
-/// Runs one strategy on one app and measures it through the scaled
-/// Origin2000 hierarchy.
-pub fn measure_strategy(app: &AppSpec, strategy: Strategy, size: i64, steps: usize) -> Measurement {
-    let (prog, bind) = (app.build)(size);
-    let opt = apply_strategy(&prog, strategy);
-    let layout = opt.layout(&bind);
-    let mut machine = Machine::with_layout(&opt.program, bind, layout);
-    let mut sink =
-        HierarchySink::new(MemoryHierarchy::origin2000_scaled(app.l1_scale, app.l2_scale));
-    machine.run_steps(&mut sink, steps);
-    let misses = sink.hierarchy.counts();
-    let stats = machine.stats();
-    let cycles = CostModel::default().cycles(&stats, &misses);
-    Measurement { label: strategy.label(), stats, misses, cycles }
-}
-
-/// Fail-safe variant of [`measure_strategy`]: optimizes through the
-/// checked pipeline (oracle-verified, degradation ladder) and runs the
-/// measurement under a fuel guard, so one bad kernel cannot take down a
-/// whole sweep. Returns any fallback diagnostics alongside the
-/// measurement.
-pub fn try_measure_strategy(
-    app: &AppSpec,
-    strategy: Strategy,
-    size: i64,
-    steps: usize,
-) -> Result<(Measurement, Vec<String>), GcrError> {
-    let (prog, bind) = (app.build)(size);
-    let opt = apply_strategy_checked(&prog, strategy, &SafetyOptions::default())?;
-    let layout = opt.layout(&bind);
-    let mut machine = Machine::try_with_layout(
-        &opt.program,
-        bind,
-        layout,
-        Some(gcr_core::checked::DEFAULT_MAX_BYTES),
-    )?;
-    let mut sink =
-        HierarchySink::new(MemoryHierarchy::origin2000_scaled(app.l1_scale, app.l2_scale));
-    machine.run_steps_guarded(&mut sink, steps, MEASURE_FUEL)?;
-    let misses = sink.hierarchy.counts();
-    let stats = machine.stats();
-    let cycles = CostModel::default().cycles(&stats, &misses);
-    let mut label = strategy.label();
-    if opt.robustness.degraded() {
-        // The sweep should show what was actually measured.
-        label = format!("{} (degraded: {})", opt.robustness.strategy, label);
-    }
-    Ok((Measurement { label, stats, misses, cycles }, opt.robustness.describe()))
-}
-
 /// Fuel for guarded measurement runs — generous for the evaluation sizes,
 /// finite for runaway programs.
 pub const MEASURE_FUEL: u64 = 2_000_000_000;
-
-/// Observable variant of [`try_measure_strategy`]: same fail-safe
-/// optimization and guarded measurement, but with per-pass tracing enabled
-/// and per-phase miss attribution, packaged as a [`Report`] (schema
-/// `gcr-report/v1`) so the experiment binaries can write self-describing
-/// JSON artifacts into `results/` alongside their tables.
-pub fn try_measure_strategy_report(
-    generator: &str,
-    app: &AppSpec,
-    strategy: Strategy,
-    size: i64,
-    steps: usize,
-) -> Result<(Measurement, Report, Vec<String>), GcrError> {
-    let (prog, bind) = (app.build)(size);
-    let mut tracer = Tracer::enabled();
-    let opt =
-        apply_strategy_checked_traced(&prog, strategy, &SafetyOptions::default(), &mut tracer)?;
-    let layout = opt.layout(&bind);
-    let mut machine = Machine::try_with_layout(
-        &opt.program,
-        bind,
-        layout,
-        Some(gcr_core::checked::DEFAULT_MAX_BYTES),
-    )?;
-    let mut sink = PhasedHierarchySink::new(
-        MemoryHierarchy::origin2000_scaled(app.l1_scale, app.l2_scale),
-        &opt.program,
-    );
-    machine.run_steps_guarded(&mut sink, steps, MEASURE_FUEL)?;
-    let misses = sink.hierarchy.counts();
-    let stats = machine.stats();
-    let cycles = CostModel::default().cycles(&stats, &misses);
-    let mut label = strategy.label();
-    if opt.robustness.degraded() {
-        label = format!("{} (degraded: {})", opt.robustness.strategy, label);
-    }
-    let mut report = Report::new(generator, &prog, strategy.label(), &opt, tracer.into_events());
-    report.simulation = Some(SimSection {
-        size,
-        steps,
-        cycles,
-        flops: stats.flops,
-        total: misses,
-        phases: sink.phases(),
-    });
-    Ok((Measurement { label, stats, misses, cycles }, report, opt.robustness.describe()))
-}
 
 /// The strategy set of Figure 10 for a given app (SP gets the extra
 /// one-level-fusion bar).
@@ -190,14 +88,6 @@ pub fn fig10_strategies(app_name: &str) -> Vec<Strategy> {
     v
 }
 
-/// Measures the reuse-distance histogram of a program in program order.
-pub fn program_order_histogram(prog: &gcr_ir::Program, bind: ParamBinding) -> Histogram {
-    let mut m = Machine::new(prog, bind);
-    let mut sink = DistanceSink::elements();
-    m.run(&mut sink);
-    sink.analyzer.hist.clone()
-}
-
 /// Captures a one-step instruction trace of a program. Capacity for the
 /// whole trace is reserved up front from the interpreter's static
 /// estimate, so multi-million-access captures do not reallocate.
@@ -209,12 +99,22 @@ pub fn capture_trace(prog: &gcr_ir::Program, bind: ParamBinding) -> InstrTrace {
     cap.finish()
 }
 
-/// Per-static-reference distance stats in program order.
-pub fn per_ref_stats(prog: &gcr_ir::Program, bind: ParamBinding) -> gcr_reuse::RefStats {
-    let mut m = Machine::new(prog, bind);
-    let mut sink = DistanceSink::elements();
-    m.run(&mut sink);
-    sink.analyzer.per_ref.clone()
+/// The value following `flag` on this process's command line, parsed as
+/// `T` (`None` when the flag is absent) — the experiment binaries' whole
+/// option grammar. A value that does not parse, or a flag with nothing
+/// after it, prints the complaint and `usage` on stderr and exits 2.
+pub fn arg<T: std::str::FromStr>(usage: &str, flag: &str) -> Option<T> {
+    let mut after = std::env::args().skip_while(|a| a != flag);
+    after.next()?;
+    let complaint = match after.next() {
+        None => format!("{flag} needs a value"),
+        Some(text) => match text.parse() {
+            Ok(value) => return Some(value),
+            Err(_) => format!("bad {flag} value `{text}`"),
+        },
+    };
+    eprintln!("{complaint}; {usage}");
+    std::process::exit(2);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,15 +203,17 @@ mod tests {
     fn measure_runs_end_to_end() {
         let apps = gcr_apps::evaluation_apps();
         let adi = apps.iter().find(|a| a.name == "ADI").unwrap();
-        let m = measure_strategy(adi, Strategy::Original, 24, 1);
+        let cache = sweep::MeasureCache::new();
+        let measure = |strategy| {
+            sweep::measure_strategy_report_cached(&cache, "t", adi, strategy, 24, 1).unwrap().0
+        };
+        let m = measure(Strategy::Original);
         assert!(m.misses.refs > 0);
         assert!(m.cycles > 0.0);
-        let f = measure_strategy(
-            adi,
-            Strategy::FusionRegroup { levels: 3, regroup: gcr_core::regroup::RegroupLevel::Multi },
-            24,
-            1,
-        );
+        let f = measure(Strategy::FusionRegroup {
+            levels: 3,
+            regroup: gcr_core::regroup::RegroupLevel::Multi,
+        });
         assert_eq!(f.stats.accesses(), m.stats.accesses(), "same work, different order");
     }
 }

@@ -27,15 +27,16 @@
 
 use crate::{Measurement, MEASURE_FUEL};
 use gcr_apps::AppSpec;
-use gcr_cache::{CostModel, MemoryHierarchy, MissCounts, PhasedHierarchySink};
+use gcr_cache::{HierarchyRun, HierarchyRunSink, HierarchySpec, MissCounts, SimRun};
 use gcr_cli::report::SimSection;
 use gcr_cli::Report;
 use gcr_core::checked::{apply_strategy_checked_traced, SafetyOptions};
 use gcr_core::pipeline::Strategy;
 use gcr_core::Tracer;
-use gcr_exec::{DataLayout, ExecEngine, ExecStats, Machine};
+use gcr_exec::{DataLayout, ExecEngine, ExecStats, Machine, NullSink};
 use gcr_ir::{GcrError, ParamBinding};
 use std::collections::HashMap;
+use std::hash::Hasher as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -43,16 +44,14 @@ use std::sync::Mutex;
 // Content keys
 // ---------------------------------------------------------------------------
 
-/// 64-bit FNV-1a. The standard library's `DefaultHasher` is only promised
-/// stable within one compiler release; cache files persisted via
-/// `GCR_MEASURE_CACHE` must outlive that, so the key hash is pinned here.
+/// 64-bit FNV-1a of `bytes`. The standard library's `DefaultHasher` is only
+/// promised stable within one compiler release; cache files persisted via
+/// `GCR_MEASURE_CACHE` must outlive that, so keys and checksums use the
+/// workspace's pinned [`gcr_reuse::FnvHasher`].
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = gcr_reuse::FnvHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// The content key of one measurement: everything the simulated counters
@@ -82,20 +81,6 @@ pub fn measurement_key(
 // Measurement cache
 // ---------------------------------------------------------------------------
 
-/// The memoized portion of one measured run: exactly the data that is a
-/// pure function of the [`measurement_key`] inputs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CachedRun {
-    /// Interpreter statistics.
-    pub stats: ExecStats,
-    /// Total miss counters.
-    pub misses: MissCounts,
-    /// Modeled cycles.
-    pub cycles: f64,
-    /// Per-phase miss counters.
-    pub phases: Vec<(String, MissCounts)>,
-}
-
 /// Header line of the on-disk cache format. `v2` adds a per-entry
 /// checksum trailer (`k <fnv64>`), which is what makes torn writes,
 /// truncation, and bit flips *detectable* instead of silently poisoning
@@ -124,8 +109,10 @@ pub struct CacheCounters {
     pub poisoned: u64,
 }
 
+/// One memoized [`SimRun`] — exactly the data that is a pure function of
+/// the [`measurement_key`] inputs.
 struct Entry {
-    run: CachedRun,
+    run: SimRun,
     /// LRU recency stamp: the global tick at last touch.
     tick: u64,
 }
@@ -249,7 +236,7 @@ impl MeasureCache {
 
     /// Looks up a key, counting the hit or miss and refreshing the
     /// entry's LRU recency on a hit.
-    pub fn lookup(&self, key: u64) -> Option<CachedRun> {
+    pub fn lookup(&self, key: u64) -> Option<SimRun> {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map();
         let got = map.get_mut(&key).map(|e| {
@@ -271,7 +258,7 @@ impl MeasureCache {
 
     /// Stores a measurement under its key, evicting the least-recently
     /// used entries if the capacity bound is exceeded.
-    pub fn insert(&self, key: u64, run: CachedRun) {
+    pub fn insert(&self, key: u64, run: SimRun) {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map();
         map.insert(key, Entry { run, tick });
@@ -369,7 +356,7 @@ fn render_counts(out: &mut String, c: &MissCounts) {
 
 /// Renders one entry block: the `e` line, `p` phase lines, then a `k`
 /// checksum line covering the exact bytes of the block above it.
-fn render_entry(out: &mut String, key: u64, run: &CachedRun) {
+fn render_entry(out: &mut String, key: u64, run: &SimRun) {
     use std::fmt::Write as _;
     let mut block = String::new();
     let _ = write!(
@@ -396,7 +383,7 @@ fn render_entry(out: &mut String, key: u64, run: &CachedRun) {
 enum DiskParse {
     /// Parsed (possibly partially): intact entries plus the number of
     /// corrupt blocks that were skipped.
-    Entries { entries: Vec<(u64, CachedRun)>, corrupt: u64 },
+    Entries { entries: Vec<(u64, SimRun)>, corrupt: u64 },
     /// The header is not this format's — quarantine the whole file.
     WrongSchema,
 }
@@ -405,7 +392,7 @@ enum DiskParse {
 /// `"e "`). Returns the parsed entry and the index one past its checksum
 /// line, or `None` if the block is truncated, mangled, or fails its
 /// checksum.
-fn parse_entry(lines: &[&str], at: usize) -> Option<(u64, CachedRun, usize)> {
+fn parse_entry(lines: &[&str], at: usize) -> Option<(u64, SimRun, usize)> {
     let mut f = lines[at].strip_prefix("e ")?.split_ascii_whitespace();
     let key = u64::from_str_radix(f.next()?, 16).ok()?;
     let cycles = f64::from_bits(u64::from_str_radix(f.next()?, 16).ok()?);
@@ -435,7 +422,7 @@ fn parse_entry(lines: &[&str], at: usize) -> Option<(u64, CachedRun, usize)> {
     if fnv1a(block.as_bytes()) != want {
         return None;
     }
-    Some((key, CachedRun { stats, misses, cycles, phases }, at + 2 + nphases))
+    Some((key, SimRun { stats, misses, cycles, phases }, at + 2 + nphases))
 }
 
 fn parse_disk(text: &str) -> DiskParse {
@@ -478,10 +465,11 @@ fn parse_disk(text: &str) -> DiskParse {
 // Cached measurement
 // ---------------------------------------------------------------------------
 
-/// [`crate::try_measure_strategy_report`] with the simulation memoized in
-/// `cache`: optimization (cheap, and the source of the per-strategy pass
-/// trace) always runs; the interpreter + hierarchy pass (expensive) is
-/// skipped when an identical program/layout/binding was already measured.
+/// Optimizes one app under one strategy (cheap, and the source of the
+/// per-strategy pass trace — so it always runs) and measures the result by
+/// [`gcr_cache::simulate`], memoized in `cache`: the machine run
+/// (expensive) is skipped when an identical program/layout/binding was
+/// already measured. The engine is `GCR_EXEC`'s.
 pub fn measure_strategy_report_cached(
     cache: &MeasureCache,
     generator: &str,
@@ -508,6 +496,26 @@ pub fn measure_strategy_report_cached_with(
     steps: usize,
     engine: ExecEngine,
 ) -> Result<(Measurement, Report, Vec<String>), GcrError> {
+    measure_version(cache, generator, app, strategy, size, steps, engine, None)
+        .map(|(m, report, diagnostics, _)| (m, report, diagnostics))
+}
+
+/// [`measure_strategy_report_cached_with`] and, for `gcr-serve`'s `measure`
+/// with a `hierarchy` header, that descriptor measured on the same
+/// optimized program. Descriptor measurements are not memoized — the key
+/// and the on-disk format know the cache scales only — so the descriptor
+/// gets a run of its own whether or not the legacy counters were a hit.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+pub fn measure_version(
+    cache: &MeasureCache,
+    generator: &str,
+    app: &AppSpec,
+    strategy: Strategy,
+    size: i64,
+    steps: usize,
+    engine: ExecEngine,
+    hierarchy: Option<&HierarchySpec>,
+) -> Result<(Measurement, Report, Vec<String>, Option<HierarchyRun>), GcrError> {
     let (prog, bind) = (app.build)(size);
     let mut tracer = Tracer::enabled();
     let opt =
@@ -528,28 +536,25 @@ pub fn measure_strategy_report_cached_with(
             // deadline-driven caller actually waits on. Inert unless the
             // environment arms it.
             gcr_par::fault::maybe_sleep(gcr_par::fault::FaultPoint::SlowSim);
-            let mut machine = Machine::try_with_layout(
-                &opt.program,
-                bind,
-                layout,
-                Some(gcr_core::checked::DEFAULT_MAX_BYTES),
-            )?
-            .with_engine(engine);
-            let mut sink = PhasedHierarchySink::new(
-                MemoryHierarchy::origin2000_scaled(app.l1_scale, app.l2_scale),
-                &opt.program,
-            );
-            machine.run_steps_guarded(&mut sink, steps, MEASURE_FUEL)?;
-            let misses = sink.hierarchy.counts();
-            let stats = machine.stats();
-            let cycles = CostModel::default().cycles(&stats, &misses);
-            let run = CachedRun { stats, misses, cycles, phases: sink.phases() };
+            let mut machine = Machine::capped(&opt.program, bind.clone(), layout.clone(), engine)?;
+            let scales = (app.l1_scale, app.l2_scale);
+            let run =
+                gcr_cache::simulate(&mut machine, scales, steps, MEASURE_FUEL, &mut NullSink)?;
             cache.insert(key, run.clone());
             run
         }
     };
+    let mut descriptor = hierarchy.map(HierarchyRunSink::new);
+    if descriptor.is_some() {
+        Machine::capped(&opt.program, bind, layout, engine)?.run_steps_guarded(
+            &mut descriptor,
+            steps,
+            MEASURE_FUEL,
+        )?;
+    }
     let mut label = strategy.label();
     if opt.robustness.degraded() {
+        // The sweep should show what was actually measured.
         label = format!("{} (degraded: {})", opt.robustness.strategy, label);
     }
     let mut report = Report::new(generator, &prog, strategy.label(), &opt, tracer.into_events());
@@ -563,7 +568,7 @@ pub fn measure_strategy_report_cached_with(
     });
     let measurement =
         Measurement { label, stats: run.stats, misses: run.misses, cycles: run.cycles };
-    Ok((measurement, report, opt.robustness.describe()))
+    Ok((measurement, report, opt.robustness.describe(), descriptor.map(|sink| sink.finish())))
 }
 
 // ---------------------------------------------------------------------------
@@ -671,12 +676,23 @@ mod tests {
         assert_eq!(cold.misses, warm.misses);
         assert_eq!(cold.stats, warm.stats);
         assert_eq!(cold.cycles, warm.cycles);
-        let reference = crate::try_measure_strategy_report("t", adi, strategy, 16, 2).unwrap();
-        assert_eq!(warm.misses, reference.0.misses, "memoized totals must match direct path");
+        // The reference is the shared measurement itself, uncached, on the
+        // reference interpreter.
+        let (prog, bind) = (adi.build)(16);
+        let opt =
+            gcr_core::checked::apply_strategy_checked(&prog, strategy, &SafetyOptions::default())
+                .unwrap();
+        let mut machine =
+            Machine::capped(&opt.program, bind.clone(), opt.layout(&bind), ExecEngine::Interp)
+                .unwrap();
+        let scales = (adi.l1_scale, adi.l2_scale);
+        let reference =
+            gcr_cache::simulate(&mut machine, scales, 2, MEASURE_FUEL, &mut NullSink).unwrap();
+        let section = warm_report.simulation.as_ref().expect("measured reports carry the section");
         assert_eq!(
-            warm_report.clone().normalized().to_json(),
-            reference.1.clone().normalized().to_json(),
-            "memoized report must match direct path modulo wall clocks"
+            (warm.stats, warm.misses, warm.cycles, &section.phases),
+            (reference.stats, reference.misses, reference.cycles, &reference.phases),
+            "memoized measurement must match the direct path"
         );
         assert_eq!(
             cold_report.normalized().to_json(),
@@ -779,7 +795,7 @@ mod tests {
 
     #[test]
     fn entry_round_trips_and_checksum_rejects_flips() {
-        let run = CachedRun {
+        let run = SimRun {
             stats: ExecStats { instances: 4, flops: 9, reads: 20, writes: 10 },
             misses: MissCounts { refs: 30, l1: 5, l2: 2, tlb: 1, memory_traffic: 256 },
             cycles: 123.5,
@@ -812,7 +828,7 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_and_hits_refresh() {
         let cache = MeasureCache::with_capacity(2);
-        let run = |cycles: f64| CachedRun {
+        let run = |cycles: f64| SimRun {
             stats: ExecStats::default(),
             misses: MissCounts::default(),
             cycles,

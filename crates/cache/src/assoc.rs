@@ -6,8 +6,7 @@
 //! no reuse-distance argument can see. [`AssocSweepSink`] closes that gap:
 //! it fans one access stream out to any number of concrete
 //! [`Cache`] geometries (ways × sets × line), each simulated exactly, so
-//! one trace pass answers the whole associativity cross-product the same
-//! way [`crate::MultiHierarchySink`] answers the hierarchy cross-product.
+//! one trace pass answers the whole associativity cross-product.
 //!
 //! ## Which monotonicity holds
 //!
@@ -95,9 +94,8 @@ impl TraceSink for AssocSweepSink {
     }
 
     fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        // Configuration-major, like MultiHierarchySink: the caches are
-        // independent, so each one sweeps the whole strip in stream order
-        // with its tag arrays hot.
+        // Configuration-major: the caches are independent, so each one
+        // sweeps the whole strip in stream order with its tag arrays hot.
         self.refs += batch.len() as u64;
         for c in &mut self.caches {
             for k in 0..batch.iters as i64 {

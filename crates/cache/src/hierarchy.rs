@@ -4,8 +4,10 @@
 //! every reference; L2 observes L1 misses (miss counts, like the R10K/R12K
 //! event counters).
 
+use crate::cost::CostModel;
 use crate::sim::{Cache, CacheConfig, Tlb};
-use gcr_exec::{AccessEvent, TraceSink};
+use gcr_exec::{AccessEvent, ExecStats, Machine, Tee, TraceSink};
+use gcr_ir::GcrError;
 
 /// Miss counters of one simulated run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -279,6 +281,46 @@ impl TraceSink for PhasedHierarchySink {
             }
         }
     }
+}
+
+/// What the paper reads off one execution of one program version
+/// (Section 6, Figure 10): the hardware-counter stand-ins and the cycle
+/// time. A pure function of program, layout, binding, step count and cache
+/// scales, so it is also the record the sweep's measurement cache stores.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SimRun {
+    /// Execution statistics.
+    pub stats: ExecStats,
+    /// Total miss counters.
+    pub misses: MissCounts,
+    /// Modeled cycles.
+    pub cycles: f64,
+    /// Per-phase miss counters.
+    pub phases: Vec<(String, MissCounts)>,
+}
+
+/// The paper's measurement, the one every front end takes: runs `m` — a
+/// fresh [`Machine::capped`] — for `steps` time steps within `fuel`
+/// through the Origin2000 hierarchy shrunk by `(l1_scale, l2_scale)`, and
+/// prices the counters with the default [`CostModel`]. `extra` rides the
+/// same run (an `Option` or a [`Tee`] of sinks; [`gcr_exec::NullSink`] for
+/// none), so further measurements of this version cost no second execution.
+pub fn simulate<S: TraceSink>(
+    m: &mut Machine<'_>,
+    (l1_scale, l2_scale): (usize, usize),
+    steps: usize,
+    fuel: u64,
+    extra: &mut S,
+) -> Result<SimRun, GcrError> {
+    debug_assert_eq!(m.stats(), ExecStats::default(), "the statistics are this run's alone");
+    let mut sink = PhasedHierarchySink::new(
+        MemoryHierarchy::origin2000_scaled(l1_scale, l2_scale),
+        m.program(),
+    );
+    m.run_steps_guarded(&mut Tee { a: &mut sink, b: extra }, steps, fuel)?;
+    let (stats, misses) = (m.stats(), sink.hierarchy.counts());
+    let cycles = CostModel::default().cycles(&stats, &misses);
+    Ok(SimRun { stats, misses, cycles, phases: sink.phases() })
 }
 
 #[cfg(test)]

@@ -512,7 +512,7 @@ impl TraceSink for MultiLevelSink {
 }
 
 /// Many independent [`MultiLevelCache`]s fed by one trace pass — the
-/// multi-level analogue of [`crate::MultiHierarchySink`].
+/// multi-level analogue of [`crate::AssocSweepSink`].
 pub struct MultiLevelSweepSink {
     /// The simulated hierarchies, in registration order.
     pub models: Vec<MultiLevelCache>,

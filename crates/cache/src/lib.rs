@@ -30,6 +30,12 @@
 //! [`MemoryHierarchy`] stacks L1/L2/TLB, [`HierarchySink`] feeds it from
 //! the interpreter's address trace, and [`PhasedHierarchySink`] splits the
 //! same totals per computation phase for the JSON reports.
+//!
+//! This crate also owns "simulate one program version": [`simulate`] is the
+//! paper's measurement (scaled Origin2000 counters plus the cycle model)
+//! and [`HierarchyRunSink`] a descriptor's, both over one
+//! [`gcr_exec::Machine::capped`] run that `gcrc`, the sweep harness, the
+//! gallery and `gcr-serve` share.
 
 pub mod assoc;
 pub mod cost;
@@ -42,11 +48,13 @@ pub mod spec;
 
 pub use assoc::{AssocResult, AssocSweepSink};
 pub use cost::CostModel;
-pub use hierarchy::{HierarchySink, MemoryHierarchy, MissCounts, PhasedHierarchySink};
+pub use hierarchy::{
+    simulate, HierarchySink, MemoryHierarchy, MissCounts, PhasedHierarchySink, SimRun,
+};
 pub use levels::{
     Inclusion, LevelCounts, MultiLevelCache, MultiLevelCounts, MultiLevelSink, MultiLevelSweepSink,
     Prefetch,
 };
-pub use multicap::{CapacitySweepSink, MultiHierarchySink};
+pub use multicap::CapacitySweepSink;
 pub use sim::{Cache, CacheConfig, Tlb, Victim};
-pub use spec::{measure_hierarchy, HierarchyRun, HierarchySpec, SweepBin};
+pub use spec::{measure_hierarchy, HierarchyRun, HierarchyRunSink, HierarchySpec, SweepBin};

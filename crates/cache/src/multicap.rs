@@ -1,31 +1,23 @@
-//! Single-pass multi-capacity / multi-configuration cache simulation.
+//! Single-pass multi-capacity cache simulation.
 //!
 //! The sweep engine's second redundancy killer: the paper's evaluation is
 //! a cross-product over cache configurations, and the naive way to cover
 //! it is one interpreter run per configuration — every run re-executing
-//! the same program and re-generating the same address trace. Both
-//! simulators here consume **one** trace pass for *all* configurations at
-//! once:
-//!
-//! * [`CapacitySweepSink`] — one LRU list, truncated at the largest
-//!   capacity, answers the miss count of every fully-associative LRU
-//!   capacity simultaneously. On such a cache an access misses iff its
-//!   reuse distance (in lines) is at least the capacity (Section 2.1 of
-//!   the paper), and that distance is the line's depth in the list — so
-//!   only the depth's *class* against the registered capacities is
-//!   needed, never the distance itself. One boundary marker per capacity
-//!   keeps that class on every node (see the type's documentation); the
-//!   counts are bit-identical to simulating each capacity separately, at
-//!   any capacity, power of two or not.
-//! * [`MultiHierarchySink`] — one access stream fanned out to any number
-//!   of full [`MemoryHierarchy`]s (set-associative L1/L2 + TLB), replacing
-//!   the one-run-per-hierarchy pattern that [`crate::HierarchySink`]
-//!   otherwise forces on capacity sweeps.
-//!
-//! Both carry bit-identical-totals tests against the per-level paths they
-//! replace.
+//! the same program and re-generating the same address trace.
+//! [`CapacitySweepSink`] consumes **one** trace pass for *all*
+//! fully-associative LRU capacities at once: one LRU list, truncated at
+//! the largest capacity, answers the miss count of every capacity
+//! simultaneously. On such a cache an access misses iff its reuse distance
+//! (in lines) is at least the capacity (Section 2.1 of the paper), and
+//! that distance is the line's depth in the list — so only the depth's
+//! *class* against the registered capacities is needed, never the distance
+//! itself. One boundary marker per capacity keeps that class on every node
+//! (see the type's documentation); the counts are bit-identical to
+//! simulating each capacity separately, at any capacity, power of two or
+//! not, and a test holds them to the per-capacity path they replace.
+//! ([`crate::AssocSweepSink`] and [`crate::MultiLevelSweepSink`] are the
+//! set-associative and multi-level fan-outs.)
 
-use crate::hierarchy::{MemoryHierarchy, MissCounts};
 use crate::lru::{LruSlab, NIL};
 use gcr_exec::{AccessEvent, TraceSink};
 
@@ -224,53 +216,10 @@ impl TraceSink for CapacitySweepSink {
     }
 }
 
-/// One access stream fanned out to many [`MemoryHierarchy`]s: the
-/// single-pass replacement for running the interpreter once per cache
-/// level or configuration.
-pub struct MultiHierarchySink {
-    /// The simulated hierarchies, in registration order.
-    pub hierarchies: Vec<MemoryHierarchy>,
-}
-
-impl MultiHierarchySink {
-    /// Wraps the given hierarchies.
-    pub fn new(hierarchies: Vec<MemoryHierarchy>) -> Self {
-        MultiHierarchySink { hierarchies }
-    }
-
-    /// Miss counters per hierarchy, in registration order.
-    pub fn counts(&self) -> Vec<MissCounts> {
-        self.hierarchies.iter().map(|h| h.counts()).collect()
-    }
-}
-
-impl TraceSink for MultiHierarchySink {
-    #[inline]
-    fn access(&mut self, ev: AccessEvent) {
-        for h in &mut self.hierarchies {
-            h.access_rw(ev.addr, ev.is_write);
-        }
-    }
-
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        // Hierarchy-major: each hierarchy is independent, so sweeping one
-        // hierarchy over the whole strip (in stream order) keeps its tag
-        // arrays hot instead of round-robining every hierarchy per event.
-        for h in &mut self.hierarchies {
-            for k in 0..batch.iters as i64 {
-                for sl in batch.slots {
-                    h.access_rw(sl.addr_at(k), sl.is_write);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::HierarchySink;
-    use crate::sim::{Cache, CacheConfig, Tlb};
+    use crate::sim::{Cache, CacheConfig};
     use gcr_exec::Machine;
     use gcr_ir::ParamBinding;
     use proptest::collection::vec;
@@ -349,34 +298,6 @@ for i = 1, N {
             );
         }
         assert_eq!(sweep.refs(), trace.len() as u64);
-    }
-
-    #[test]
-    fn multi_hierarchy_bit_identical_to_separate_runs() {
-        let prog = gcr_frontend::parse(SRC).unwrap();
-        let bind = ParamBinding::new(vec![20]);
-        let configs: Vec<MemoryHierarchy> = vec![
-            MemoryHierarchy::origin2000_scaled(16, 64),
-            MemoryHierarchy::origin2000_scaled(4, 16),
-            MemoryHierarchy::new(
-                CacheConfig { size: 512, line: 32, assoc: 2 },
-                CacheConfig { size: 4096, line: 128, assoc: 2 },
-                Tlb::new(8, 4096),
-            ),
-        ];
-        // Single pass through all three.
-        let mut multi = MultiHierarchySink::new(configs.clone());
-        Machine::new(&prog, bind.clone()).run(&mut multi);
-        // Per-level path: one interpreter run per hierarchy.
-        for (i, h) in configs.into_iter().enumerate() {
-            let mut single = HierarchySink::new(h);
-            Machine::new(&prog, bind.clone()).run(&mut single);
-            assert_eq!(
-                multi.counts()[i],
-                single.hierarchy.counts(),
-                "hierarchy {i} totals must be bit-identical"
-            );
-        }
     }
 
     #[test]

@@ -16,18 +16,18 @@
 //! as [`MultiLevelCache::new`], reported as errors instead of panics so
 //! servers can reject bad descriptors.
 //!
-//! [`measure_hierarchy`] is the shared execution helper behind the CLI
-//! flag, the serve endpoint and the gallery: one machine pass through a
-//! three-way tee — the multi-level model, the fully-associative
+//! [`HierarchyRunSink`] is the one sink behind the CLI flag, the serve
+//! endpoint and the gallery — the multi-level model, the fully-associative
 //! reuse-distance sweep, and a 4-way set-associative sweep at the same
 //! capacities — so every report's sweep bins carry both the FA and the
-//! set-associative miss columns from a single trace.
+//! set-associative miss columns from a single trace; [`measure_hierarchy`]
+//! is that sink plus one capped run.
 
 use crate::levels::{Inclusion, MultiLevelCache, MultiLevelCounts, MultiLevelSink, Prefetch};
 use crate::multicap::CapacitySweepSink;
 use crate::sim::CacheConfig;
 use crate::AssocSweepSink;
-use gcr_exec::{DataLayout, ExecEngine, Machine, Tee};
+use gcr_exec::{AccessEvent, DataLayout, ExecEngine, Machine, TraceBatch, TraceSink};
 use gcr_ir::{GcrError, ParamBinding, Program};
 
 /// A parsed, validated hierarchy descriptor.
@@ -222,8 +222,76 @@ pub struct HierarchyRun {
     pub sweep: Vec<SweepBin>,
 }
 
-/// Runs `prog` once and measures the descriptor: multi-level counters
-/// plus FA and 4-way set-associative sweep bins, all from the same trace.
+/// A descriptor's whole measurement as one sink — spec in, [`HierarchyRun`]
+/// out: the multi-level model, the fully-associative capacity sweep and a
+/// 4-way set-associative sweep at the same capacities, all fed from the one
+/// trace the sink is handed (alone, or riding another measurement's run
+/// through [`gcr_exec::Tee`]).
+pub struct HierarchyRunSink {
+    spec: HierarchySpec,
+    caps: Vec<u64>,
+    model: MultiLevelSink,
+    fa: CapacitySweepSink,
+    sa: AssocSweepSink,
+}
+
+impl HierarchyRunSink {
+    /// The three simulators of `spec`, cold.
+    pub fn new(spec: &HierarchySpec) -> Self {
+        let caps = spec.sweep_capacities();
+        let line = spec.levels[0].line;
+        let four_way: Vec<CacheConfig> =
+            caps.iter().map(|&c| CacheConfig { size: c as usize, line, assoc: 4 }).collect();
+        HierarchyRunSink {
+            model: MultiLevelSink::new(spec.build()),
+            fa: CapacitySweepSink::new(line as u64, &caps),
+            sa: AssocSweepSink::new(&four_way),
+            spec: spec.clone(),
+            caps,
+        }
+    }
+
+    /// Everything measured so far.
+    pub fn finish(&self) -> HierarchyRun {
+        let sweep = self
+            .caps
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| SweepBin {
+                capacity: c,
+                fa_misses: self.fa.misses(c),
+                assoc_misses: self.sa.misses(i),
+            })
+            .collect();
+        HierarchyRun {
+            spec: self.spec.describe(),
+            configs: self.spec.levels.clone(),
+            line: self.spec.levels[0].line as u64,
+            counts: self.model.model.counts(),
+            sweep,
+        }
+    }
+}
+
+// None of the three looks at instance boundaries, so `end_instance` keeps
+// its empty default.
+impl TraceSink for HierarchyRunSink {
+    #[inline]
+    fn access(&mut self, ev: AccessEvent) {
+        self.model.access(ev);
+        self.fa.access(ev);
+        self.sa.access(ev);
+    }
+
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+        self.model.record_batch(batch);
+        self.fa.record_batch(batch);
+        self.sa.record_batch(batch);
+    }
+}
+
+/// Runs `prog` once on a byte-capped machine and measures the descriptor:
+/// one [`HierarchyRunSink`] over one guarded run.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_hierarchy(
     prog: &Program,
@@ -234,35 +302,9 @@ pub fn measure_hierarchy(
     fuel: u64,
     spec: &HierarchySpec,
 ) -> Result<HierarchyRun, GcrError> {
-    let caps = spec.sweep_capacities();
-    let line = spec.levels[0].line as u64;
-    let sa_configs: Vec<CacheConfig> = caps
-        .iter()
-        .map(|&c| CacheConfig { size: c as usize, line: line as usize, assoc: 4 })
-        .collect();
-    // The hierarchy model plus both sweep flavors share one trace pass.
-    let mut model = MultiLevelSink::new(spec.build());
-    let mut fa = CapacitySweepSink::new(line, &caps);
-    let mut sa = AssocSweepSink::new(&sa_configs);
-    let mut sweeps = Tee { a: &mut fa, b: &mut sa };
-    let mut m = Machine::with_layout(prog, binding, layout).with_engine(engine);
-    m.run_steps_guarded(&mut Tee { a: &mut model, b: &mut sweeps }, steps, fuel)?;
-    let sweep = caps
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| SweepBin {
-            capacity: c,
-            fa_misses: fa.misses(c),
-            assoc_misses: sa.misses(i),
-        })
-        .collect();
-    Ok(HierarchyRun {
-        spec: spec.describe(),
-        configs: spec.levels.clone(),
-        line,
-        counts: model.model.counts(),
-        sweep,
-    })
+    let mut sink = HierarchyRunSink::new(spec);
+    Machine::capped(prog, binding, layout, engine)?.run_steps_guarded(&mut sink, steps, fuel)?;
+    Ok(sink.finish())
 }
 
 #[cfg(test)]
@@ -362,6 +404,26 @@ for i = 1, N {
         // Bigger FA capacity never misses more.
         for w in run.sweep.windows(2) {
             assert!(w[1].fa_misses <= w[0].fa_misses);
+        }
+        // The combined sink is the three sinks, each fed alone: from the
+        // VM's batches and from the interpreter's single events.
+        fn alone<S: TraceSink>(prog: &Program, engine: ExecEngine, mut sink: S) -> S {
+            Machine::new(prog, ParamBinding::new(vec![16])).with_engine(engine).run(&mut sink);
+            sink
+        }
+        let caps = spec.sweep_capacities();
+        let four_way: Vec<CacheConfig> =
+            caps.iter().map(|&c| CacheConfig { size: c as usize, line: 32, assoc: 4 }).collect();
+        for engine in [ExecEngine::Vm, ExecEngine::Interp] {
+            assert_eq!(alone(&prog, engine, HierarchyRunSink::new(&spec)).finish(), run);
+            let model = alone(&prog, engine, MultiLevelSink::new(spec.build()));
+            let fa = alone(&prog, engine, CapacitySweepSink::new(32, &caps));
+            let sa = alone(&prog, engine, AssocSweepSink::new(&four_way));
+            assert_eq!(run.counts, model.model.counts(), "{engine:?}");
+            for (i, b) in run.sweep.iter().enumerate() {
+                let alone = (caps[i], fa.misses(caps[i]), sa.misses(i));
+                assert_eq!((b.capacity, b.fa_misses, b.assoc_misses), alone, "{engine:?}");
+            }
         }
     }
 }

@@ -21,9 +21,8 @@
 
 pub mod report;
 
-use gcr_cache::{CostModel, MemoryHierarchy, PhasedHierarchySink};
 use gcr_core::checked::{apply_strategy_checked_traced, SafetyOptions};
-use gcr_core::pipeline::Strategy;
+use gcr_core::pipeline::{OptimizedProgram, Strategy};
 use gcr_core::regroup::RegroupLevel;
 use gcr_core::Tracer;
 use gcr_exec::{ExecEngine, Machine};
@@ -378,55 +377,56 @@ pub fn run_source_with_diagnostics(
         Some(e) => e,
         None => ExecEngine::from_env()?,
     };
-    if let Some(n) = o.simulate {
-        let bind = binding_for(&prog, n);
-        let layout = opt.layout(&bind);
-        let mut m = Machine::with_layout(&opt.program, bind, layout).with_engine(engine);
-        if engine == ExecEngine::Vm {
-            if let Some(why) = m.refusal() {
-                diagnostics
-                    .push(format!("note: --simulate ran on the interpreter, not the vm: {why}"));
-            }
-        }
-        let mut sink = PhasedHierarchySink::new(
-            MemoryHierarchy::origin2000_scaled(o.cache_scale.0, o.cache_scale.1),
-            &opt.program,
-        );
-        // `--profile` alongside `--simulate` shares this interpreter pass:
-        // a tee feeds the profiler from the same address stream instead of
-        // re-running the program.
+    let spec = o
+        .hierarchy
+        .as_deref()
+        .map(gcr_cache::HierarchySpec::parse)
+        .transpose()
+        .map_err(|why| usage_err(format!("bad --hierarchy descriptor: {why}\n{USAGE}")))?;
+    let mut machines = Vec::new();
+    // `--simulate`, `--profile` and `--hierarchy` measure at one size: one
+    // machine, one run, every requested sink teed onto the same stream.
+    if o.simulate.is_some() || o.profile || spec.is_some() {
+        let n = o.simulate.unwrap_or(64);
+        let m = machine_at(&mut machines, &opt, engine, n)?;
         let mut psink = o.profile.then(|| gcr_reuse::ProfileSink::elements(&opt.program));
-        match psink.as_mut() {
-            Some(p) => {
-                let mut tee = gcr_exec::Tee { a: &mut sink, b: p };
-                m.run_steps_guarded(&mut tee, o.steps, fuel)?;
+        let mut hsink = spec.as_ref().map(gcr_cache::HierarchyRunSink::new);
+        let mut extra = gcr_exec::Tee { a: &mut psink, b: &mut hsink };
+        if o.simulate.is_some() {
+            if engine == ExecEngine::Vm {
+                if let Some(why) = m.refusal() {
+                    diagnostics.push(format!(
+                        "note: --simulate ran on the interpreter, not the vm: {why}"
+                    ));
+                }
             }
-            None => m.run_steps_guarded(&mut sink, o.steps, fuel)?,
-        }
-        let c = sink.hierarchy.counts();
-        let cycles = CostModel::default().cycles(&m.stats(), &c);
-        let _ = writeln!(
-            out,
-            "simulate N={n} x{}: {} refs, L1 miss {} ({:.2}%), L2 miss {}, TLB miss {}, \
-             traffic {} KB, {:.3e} cycles",
-            o.steps,
-            c.refs,
-            c.l1,
-            100.0 * c.l1_rate(),
-            c.l2,
-            c.tlb,
-            c.memory_traffic / 1024,
-            cycles
-        );
-        if let Some(r) = rep.as_mut() {
-            r.simulation = Some(report::SimSection {
-                size: n,
-                steps: o.steps,
-                cycles,
-                flops: m.stats().flops,
-                total: c,
-                phases: sink.phases(),
-            });
+            let run = gcr_cache::simulate(m, o.cache_scale, o.steps, fuel, &mut extra)?;
+            let c = run.misses;
+            let _ = writeln!(
+                out,
+                "simulate N={n} x{}: {} refs, L1 miss {} ({:.2}%), L2 miss {}, TLB miss {}, \
+                 traffic {} KB, {:.3e} cycles",
+                o.steps,
+                c.refs,
+                c.l1,
+                100.0 * c.l1_rate(),
+                c.l2,
+                c.tlb,
+                c.memory_traffic / 1024,
+                run.cycles
+            );
+            if let Some(r) = rep.as_mut() {
+                r.simulation = Some(report::SimSection {
+                    size: n,
+                    steps: o.steps,
+                    cycles: run.cycles,
+                    flops: run.stats.flops,
+                    total: c,
+                    phases: run.phases,
+                });
+            }
+        } else {
+            m.run_steps_guarded(&mut extra, o.steps, fuel)?;
         }
         if let Some(p) = psink {
             let section = report::ProfileSection { size: n, steps: o.steps, profile: p.finish() };
@@ -435,31 +435,12 @@ pub fn run_source_with_diagnostics(
                 r.profile = Some(section);
             }
         }
-    } else if o.profile {
-        let n = 64;
-        let bind = binding_for(&prog, n);
-        let layout = opt.layout(&bind);
-        let mut m = Machine::with_layout(&opt.program, bind, layout).with_engine(engine);
-        let mut sink = gcr_reuse::ProfileSink::elements(&opt.program);
-        m.run_steps_guarded(&mut sink, o.steps, fuel)?;
-        let section = report::ProfileSection { size: n, steps: o.steps, profile: sink.finish() };
-        let _ = write!(out, "{}", section.to_text());
-        if let Some(r) = rep.as_mut() {
-            r.profile = Some(section);
-        }
-    }
-    if let Some(desc) = &o.hierarchy {
-        let spec = gcr_cache::HierarchySpec::parse(desc)
-            .map_err(|why| usage_err(format!("bad --hierarchy descriptor: {why}\n{USAGE}")))?;
-        let n = o.simulate.unwrap_or(64);
-        let bind = binding_for(&prog, n);
-        let layout = opt.layout(&bind);
-        let run =
-            gcr_cache::measure_hierarchy(&opt.program, bind, layout, engine, o.steps, fuel, &spec)?;
-        let section = report::HierarchySection { size: n, steps: o.steps, run };
-        out.push_str(&section.to_text());
-        if let Some(r) = rep.as_mut() {
-            r.hierarchy = Some(section);
+        if let Some(h) = hsink {
+            let section = report::HierarchySection { size: n, steps: o.steps, run: h.finish() };
+            out.push_str(&section.to_text());
+            if let Some(r) = rep.as_mut() {
+                r.hierarchy = Some(section);
+            }
         }
     }
     if let Some(n) = o.static_n {
@@ -488,13 +469,19 @@ pub fn run_source_with_diagnostics(
             Err(gcr_static::StaticError::Gcr(e)) => return Err(e),
         }
     }
+    // `--reuse-hist` and `--mrc` read the one-step element-distance
+    // histogram; at equal sizes the second reuses the first's run.
+    let mut last: Option<(i64, gcr_reuse::Histogram)> = None;
+    let mut hist_at = |n: i64| -> Result<gcr_reuse::Histogram, GcrError> {
+        if last.as_ref().map(|(at, _)| *at) != Some(n) {
+            let mut sink = gcr_reuse::DistanceSink::elements();
+            machine_at(&mut machines, &opt, engine, n)?.run_guarded(&mut sink, fuel)?;
+            last = Some((n, sink.analyzer.hist));
+        }
+        Ok(last.as_ref().expect("measured above").1.clone())
+    };
     if let Some(n) = o.reuse_hist {
-        let bind = binding_for(&prog, n);
-        let layout = opt.layout(&bind);
-        let mut m = Machine::with_layout(&opt.program, bind, layout).with_engine(engine);
-        let mut sink = gcr_reuse::DistanceSink::elements();
-        m.run_guarded(&mut sink, fuel)?;
-        let h = &sink.analyzer.hist;
+        let h = hist_at(n)?;
         let _ = writeln!(out, "reuse distances at N={n} (log2 bins):");
         for (bin, count) in h.points() {
             let _ = writeln!(out, "  2^{bin:<2} {count}");
@@ -502,16 +489,11 @@ pub fn run_source_with_diagnostics(
         let _ = writeln!(out, "  cold {}", h.cold);
     }
     if let Some(n) = o.mrc {
-        let bind = binding_for(&prog, n);
-        let layout = opt.layout(&bind);
-        let mut m = Machine::with_layout(&opt.program, bind, layout).with_engine(engine);
-        let mut sink = gcr_reuse::DistanceSink::elements();
-        m.run_guarded(&mut sink, fuel)?;
         let _ = writeln!(
             out,
             "predicted miss ratio by cache capacity (fully associative LRU, elements):"
         );
-        for (cap, ratio) in gcr_reuse::miss_ratio_curve(&sink.analyzer.hist) {
+        for (cap, ratio) in gcr_reuse::miss_ratio_curve(&hist_at(n)?) {
             let _ = writeln!(out, "  {:>10} {:>7.3}%", cap, 100.0 * ratio);
         }
     }
@@ -528,8 +510,22 @@ pub fn run_source_with_diagnostics(
     Ok((out, diagnostics))
 }
 
-fn binding_for(prog: &gcr_ir::Program, n: i64) -> ParamBinding {
-    ParamBinding::new(vec![n; prog.params.len()])
+/// The byte-capped machine of size `n`, built on first use: the runs of one
+/// invocation at one size share it (the address stream does not depend on
+/// the data, so a later run on the advanced memory image traces the same
+/// accesses).
+fn machine_at<'m, 'p>(
+    built: &'m mut Vec<(i64, Machine<'p>)>,
+    opt: &'p OptimizedProgram,
+    engine: ExecEngine,
+    n: i64,
+) -> Result<&'m mut Machine<'p>, GcrError> {
+    if built.iter().all(|(size, _)| *size != n) {
+        let bind = ParamBinding::new(vec![n; opt.program.params.len()]);
+        let layout = opt.layout(&bind);
+        built.push((n, Machine::capped(&opt.program, bind, layout, engine)?));
+    }
+    Ok(&mut built.iter_mut().find(|(size, _)| *size == n).expect("built above").1)
 }
 
 /// Converts a `gcr-static` prediction (plus its model's closed forms) into

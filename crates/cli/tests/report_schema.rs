@@ -7,13 +7,12 @@
 //! `GCR_BLESS=1 cargo test -p gcr-cli --test report_schema` and review the
 //! diff (EXPERIMENTS.md documents the schema and must be updated too).
 
-use gcr_cache::{MemoryHierarchy, PhasedHierarchySink};
 use gcr_cli::report::{ProfileSection, SimSection};
 use gcr_cli::Report;
 use gcr_core::checked::SafetyOptions;
 use gcr_core::pipeline::Strategy;
 use gcr_core::Tracer;
-use gcr_exec::Machine;
+use gcr_exec::{ExecEngine, Machine};
 use gcr_ir::ParamBinding;
 
 const SRC: &str = "
@@ -45,25 +44,20 @@ fn build_report() -> Report {
     let mut report =
         Report::new("golden-test", &prog, strategy.label(), &opt, tracer.into_events());
 
+    // One shared run, as `gcrc --simulate 32 --profile --cache-scale 16,64`.
     let bind = ParamBinding::new(vec![SIZE]);
     let layout = opt.layout(&bind);
-    let mut m = Machine::with_layout(&opt.program, bind.clone(), layout.clone());
-    let mut sink = gcr_reuse::ProfileSink::elements(&opt.program);
-    m.run(&mut sink);
-    report.profile = Some(ProfileSection { size: SIZE, steps: 1, profile: sink.finish() });
-
-    let mut m = Machine::with_layout(&opt.program, bind, layout);
-    let mut sink =
-        PhasedHierarchySink::new(MemoryHierarchy::origin2000_scaled(16, 64), &opt.program);
-    m.run(&mut sink);
-    let total = sink.hierarchy.counts();
+    let mut m = Machine::capped(&opt.program, bind, layout, ExecEngine::default()).unwrap();
+    let mut profile = gcr_reuse::ProfileSink::elements(&opt.program);
+    let run = gcr_cache::simulate(&mut m, (16, 64), 1, u64::MAX, &mut profile).unwrap();
+    report.profile = Some(ProfileSection { size: SIZE, steps: 1, profile: profile.finish() });
     report.simulation = Some(SimSection {
         size: SIZE,
         steps: 1,
-        cycles: gcr_cache::CostModel::default().cycles(&m.stats(), &total),
-        flops: m.stats().flops,
-        total,
-        phases: sink.phases(),
+        cycles: run.cycles,
+        flops: run.stats.flops,
+        total: run.misses,
+        phases: run.phases,
     });
     report
 }

@@ -38,8 +38,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// trip counts quickly.
 pub const DEFAULT_FUEL: u64 = 10_000_000;
 
-/// Default cap on the simulated memory image of any oracle machine.
-pub const DEFAULT_MAX_BYTES: usize = 1 << 28; // 256 MiB
+pub use gcr_exec::DEFAULT_MAX_BYTES;
 
 /// A pipeline pass, as identified in fallback records and fault injection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

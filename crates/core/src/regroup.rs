@@ -276,7 +276,7 @@ pub fn layout(
             prog.array(g.members[0]).dims.iter().map(|d| d.eval(binding)).collect();
         let idxs: Vec<usize> = (0..g.members.len()).collect();
         let size = place_group(g, &idxs, g.rank as isize - 1, cursor, &extents, &mut arrays);
-        cursor += size + pad;
+        cursor = cursor.saturating_add(size).saturating_add(pad);
     }
     let arrays: Vec<ArrayLayout> = arrays
         .into_iter()
@@ -288,7 +288,9 @@ pub fn layout(
 
 /// Recursively lays out the sub-blocks spanning dimensions `0..=d` of the
 /// given members (for one fixed index of the outer dimensions). Returns the
-/// block size in bytes and fills in bases and strides.
+/// block size in bytes and fills in bases and strides. Sizes saturate like
+/// [`DataLayout::column_major`]'s, so an oversize binding over-reports
+/// `total_bytes` and meets the machine's byte cap instead of wrapping.
 fn place_group(
     g: &GroupPlan,
     members: &[usize],
@@ -302,7 +304,7 @@ fn place_group(
         for (pos, &mi) in members.iter().enumerate() {
             let a = g.members[mi];
             arrays[a.index()] = Some(ArrayLayout {
-                base: base + pos * ELEM_BYTES,
+                base: base.saturating_add(pos * ELEM_BYTES),
                 strides: vec![0; g.rank],
                 extents: extents.to_vec(),
             });
@@ -327,7 +329,7 @@ fn place_group(
             let al = arrays[a.index()].as_mut().expect("placed by recursion");
             al.strides[d as usize] = inner;
         }
-        offset += n_d * inner;
+        offset = offset.saturating_add(n_d.saturating_mul(inner));
     }
     offset - base
 }

@@ -65,6 +65,10 @@ impl DataLayout {
     /// order, each column-major, with `pad_bytes` of padding between
     /// consecutive arrays (0 for the plain layout; the SGI-like baseline
     /// uses inter-array padding to break conflict alignment).
+    ///
+    /// Sizes saturate at `usize::MAX` instead of wrapping, so for extents
+    /// too large to address `total_bytes` over-reports and the byte cap of
+    /// [`crate::Machine::capped`] refuses the layout.
     pub fn column_major(prog: &Program, binding: &ParamBinding, pad_bytes: usize) -> DataLayout {
         let mut arrays = Vec::with_capacity(prog.arrays.len());
         let mut cursor = 0usize;
@@ -79,11 +83,11 @@ impl DataLayout {
             let mut s = ELEM_BYTES;
             for &e in &extents {
                 strides.push(s);
-                s *= e as usize;
+                s = s.saturating_mul(e as usize);
             }
             arrays.push(ArrayLayout { base: cursor, strides, extents });
-            cursor += s; // total bytes of this array (ELEM_BYTES for scalars)
-            cursor += pad_bytes;
+            // `s` is the total bytes of this array (ELEM_BYTES for scalars).
+            cursor = cursor.saturating_add(s).saturating_add(pad_bytes);
         }
         DataLayout { arrays, total_bytes: cursor }
     }
@@ -146,6 +150,30 @@ mod tests {
         let l = DataLayout::column_major(&p, &bind, 64);
         assert_eq!(l.arrays[1].base, 128 + 64);
         assert_eq!(l.arrays[2].base, 128 + 64 + 32 + 64);
+    }
+
+    proptest::proptest! {
+        /// Whatever the extents, the layout is built without a panic and
+        /// `total_bytes` never under-reports: it is the exact size, or
+        /// `usize::MAX` once the exact size no longer fits.
+        #[test]
+        fn sizes_saturate_instead_of_wrapping(
+            extents in proptest::collection::vec(
+                proptest::prop_oneof![1i64..64, 1i64 << 20..1i64 << 33, i64::MAX - 8..=i64::MAX],
+                1..4,
+            ),
+            pad in 0usize..4096,
+        ) {
+            let mut b = ProgramBuilder::new("t");
+            let dims: Vec<LinExpr> =
+                (0..extents.len()).map(|k| LinExpr::param(b.param(format!("N{k}")))).collect();
+            b.array("A", &dims);
+            b.array("B", &dims[..1]);
+            let l = DataLayout::column_major(&b.finish(), &ParamBinding::new(extents.clone()), pad);
+            let a = extents.iter().fold(ELEM_BYTES as u128, |s, &e| s.saturating_mul(e as u128));
+            let exact = a.saturating_add(ELEM_BYTES as u128 * extents[0] as u128 + 2 * pad as u128);
+            proptest::prop_assert_eq!(l.total_bytes, usize::try_from(exact).unwrap_or(usize::MAX));
+        }
     }
 
     #[test]

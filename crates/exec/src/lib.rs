@@ -39,7 +39,7 @@ pub use compile::{compile, try_compile, Refusal};
 pub use layout::{ArrayLayout, DataLayout};
 pub use machine::{
     AccessEvent, BatchSlot, CountingSink, ExecEngine, ExecEstimate, ExecStats, Machine, NullSink,
-    Tee, TraceBatch, TraceSink,
+    Tee, TraceBatch, TraceSink, DEFAULT_MAX_BYTES,
 };
 pub use tape::CompiledProgram;
 pub use vm::VmPlan;

@@ -175,6 +175,30 @@ impl<A: TraceSink, B: TraceSink> TraceSink for Tee<'_, A, B> {
     }
 }
 
+/// An optional sink: `None` ignores the stream, so a measurement that a
+/// flag turns on or off rides a [`Tee`] without a second code path.
+impl<S: TraceSink> TraceSink for Option<S> {
+    #[inline]
+    fn access(&mut self, ev: AccessEvent) {
+        if let Some(s) = self {
+            s.access(ev);
+        }
+    }
+
+    #[inline]
+    fn end_instance(&mut self, stmt: StmtId) {
+        if let Some(s) = self {
+            s.end_instance(stmt);
+        }
+    }
+
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+        if let Some(s) = self {
+            s.record_batch(batch);
+        }
+    }
+}
+
 /// Sink that ignores everything (pure execution).
 #[derive(Default)]
 pub struct NullSink;
@@ -315,6 +339,10 @@ impl ExecEngine {
     }
 }
 
+/// Cap on the simulated memory image of every oracle and measurement
+/// machine ([`Machine::capped`]).
+pub const DEFAULT_MAX_BYTES: usize = 1 << 28; // 256 MiB
+
 /// The interpreter. One `Machine` owns the memory image; `run` can be
 /// called repeatedly (e.g. once per time step).
 pub struct Machine<'p> {
@@ -360,6 +388,20 @@ impl<'p> Machine<'p> {
             }
         }
         Ok(Self::with_layout(prog, binding, layout))
+    }
+
+    /// The constructor of every measurement run: `engine` over a memory
+    /// image of at most [`DEFAULT_MAX_BYTES`], so a size typed on a command
+    /// line or sent in a request is a typed error, never an allocation
+    /// failure.
+    pub fn capped(
+        prog: &'p Program,
+        binding: ParamBinding,
+        layout: DataLayout,
+        engine: ExecEngine,
+    ) -> Result<Self, GcrError> {
+        Ok(Self::try_with_layout(prog, binding, layout, Some(DEFAULT_MAX_BYTES))?
+            .with_engine(engine))
     }
 
     /// Creates a machine with an explicit layout (e.g. after regrouping).
@@ -445,6 +487,11 @@ impl<'p> Machine<'p> {
                 flat += 1;
             });
         }
+    }
+
+    /// The program this machine executes.
+    pub fn program(&self) -> &'p Program {
+        self.prog
     }
 
     /// Parameter binding in use.

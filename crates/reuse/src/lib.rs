@@ -36,7 +36,6 @@ pub mod evadable;
 pub mod hash;
 pub mod predict;
 pub mod profile;
-pub mod sampled;
 pub mod trace;
 
 pub use distance::{CapacityCounter, DistanceSink, Histogram, ReuseDistanceAnalyzer};
@@ -45,5 +44,4 @@ pub use evadable::{evadable_fraction, EvadableReport, RefStats};
 pub use hash::{FnvBuildHasher, FnvHashMap, FnvHasher};
 pub use predict::{miss_ratio_curve, predicted_miss_ratio, predicted_misses};
 pub use profile::{ProfileSink, ReuseProfile};
-pub use sampled::SampledAnalyzer;
 pub use trace::{Access, InstrTrace, TraceCapture};

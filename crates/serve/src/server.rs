@@ -23,7 +23,7 @@
 //! persisted too.
 
 use crate::proto::{read_frame, write_frame, ErrCode, FrameIn, ProtoError, Request, Response};
-use gcr_bench::sweep::{measure_strategy_report_cached, MeasureCache};
+use gcr_bench::sweep::{measure_version, MeasureCache};
 use gcr_cli::report::Json;
 use gcr_core::checked::{apply_strategy_checked_traced, SafetyOptions};
 use gcr_core::pipeline::Strategy;
@@ -290,8 +290,18 @@ impl Server {
                 .iter()
                 .find(|a| a.name.eq_ignore_ascii_case(&app_name))
                 .expect("validated above");
-            let (m, _report, diagnostics) =
-                measure_strategy_report_cached(&cache, "gcr-serve", app, strategy, size, steps)?;
+            // One checked optimization serves both the memoized counters
+            // and the descriptor's run.
+            let (m, _report, diagnostics, run) = measure_version(
+                &cache,
+                "gcr-serve",
+                app,
+                strategy,
+                size,
+                steps,
+                gcr_exec::ExecEngine::from_env()?,
+                hier.as_ref(),
+            )?;
             let mut body = vec![
                 ("app", Json::S(app.name.into())),
                 ("strategy", Json::S(m.label.clone())),
@@ -305,28 +315,7 @@ impl Server {
                 ("memory_traffic", Json::U(m.misses.memory_traffic)),
                 ("diagnostics", Json::A(diagnostics.into_iter().map(Json::S).collect())),
             ];
-            if let Some(spec) = hier {
-                // Hierarchy measurements are descriptor-parameterized and
-                // skip the measurement cache (its on-disk key format is
-                // strategy x size x steps only).
-                let (prog, bind) = (app.build)(size);
-                let mut tracer = gcr_core::Tracer::disabled();
-                let opt = apply_strategy_checked_traced(
-                    &prog,
-                    strategy,
-                    &SafetyOptions::default(),
-                    &mut tracer,
-                )?;
-                let layout = opt.layout(&bind);
-                let run = gcr_cache::measure_hierarchy(
-                    &opt.program,
-                    bind,
-                    layout,
-                    gcr_exec::ExecEngine::default(),
-                    steps,
-                    gcr_bench::MEASURE_FUEL,
-                    &spec,
-                )?;
+            if let Some(run) = run {
                 body.push(("hierarchy", hierarchy_body(&run)));
             }
             Ok(Json::O(body))
@@ -448,7 +437,13 @@ impl Server {
                     // missing model: exact, but only at this size.
                     let bind = gcr_ir::ParamBinding::new(vec![size; opt.program.params.len()]);
                     let layout = opt.layout(&bind);
-                    let mut m = gcr_exec::Machine::with_layout(&opt.program, bind, layout);
+                    let mut m = gcr_exec::Machine::capped(
+                        &opt.program,
+                        bind,
+                        layout,
+                        gcr_exec::ExecEngine::default(),
+                    )
+                    .map_err(gcr_static::StaticError::Gcr)?;
                     let mut sink = gcr_cache::CapacitySweepSink::new(32, &PREDICT_CAPACITIES);
                     m.run_steps_guarded(&mut sink, steps, gcr_static::DEFAULT_PROBE_FUEL)
                         .map_err(gcr_static::StaticError::Gcr)?;

@@ -742,7 +742,7 @@ fn probe(
 ) -> Result<ProbeCounts, StaticError> {
     let binding = ParamBinding::new(vec![n; prog.params.len()]);
     let layout = layout_for(&binding);
-    let mut m = Machine::with_layout(prog, binding, layout).with_engine(engine);
+    let mut m = Machine::capped(prog, binding, layout, engine)?;
     let mut sink = ProbeSink::new(spec, prog.arrays.len());
     m.run_steps_guarded(&mut sink, spec.steps, fuel)?;
     Ok(sink.counts())
