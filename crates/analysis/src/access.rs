@@ -34,7 +34,7 @@ impl AccessKind {
 }
 
 /// One array access occurrence inside a statement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AccessInfo {
     /// The reference (array, subscripts, ref id).
     pub aref: ArrayRef,

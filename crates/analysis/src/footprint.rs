@@ -49,9 +49,19 @@ impl DimSet {
     /// Builds the dim set for a subscript, relative to fusion variable
     /// `level`. `ranges` supplies other loop variables' bounds.
     pub fn from_subscript(sub: &Subscript, level: VarId, ranges: &VarRanges) -> DimSet {
+        DimSet::from_subscript_with(sub, level, |v| ranges.get(&v))
+    }
+
+    /// [`DimSet::from_subscript`] over any source of loop-variable bounds
+    /// (e.g. a member's own inner loops in front of a borrowed outer map).
+    pub fn from_subscript_with<'r>(
+        sub: &Subscript,
+        level: VarId,
+        range_of: impl Fn(VarId) -> Option<&'r Range>,
+    ) -> DimSet {
         match sub {
             Subscript::Var { var, offset } if *var == level => DimSet::LevelVar(*offset),
-            Subscript::Var { var, offset } => match ranges.get(var) {
+            Subscript::Var { var, offset } => match range_of(*var) {
                 Some(r) => DimSet::Span(r.shift(*offset)),
                 // Unknown variable range: treat as unbounded span.
                 None => DimSet::Span(Range::new(

@@ -26,7 +26,7 @@ pub enum LevelPos {
 }
 
 /// A reference seen from one fusion level.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LevelRef {
     /// The underlying access.
     pub access: AccessInfo,
@@ -75,8 +75,11 @@ pub fn classify_level_refs(
     outer_ranges: &VarRanges,
 ) -> Vec<LevelRef> {
     let time = member.guard.clone().unwrap_or_else(|| loop_range.clone());
-    let mut ranges = outer_ranges.clone();
-    extend_var_ranges(&member.stmt, &mut ranges);
+    // The member's own inner loops shadow `outer_ranges`; an assignment
+    // member has none and the overlay stays unallocated.
+    let mut inner = VarRanges::new();
+    extend_var_ranges(&member.stmt, &mut inner);
+    let range_of = |v: VarId| inner.get(&v).or_else(|| outer_ranges.get(&v));
     let mut accesses = Vec::new();
     collect_accesses(&member.stmt, &mut accesses);
     accesses
@@ -95,7 +98,7 @@ pub fn classify_level_refs(
                 .aref
                 .subs
                 .iter()
-                .map(|s| DimSet::from_subscript(s, level, &ranges))
+                .map(|s| DimSet::from_subscript_with(s, level, range_of))
                 .collect();
             LevelRef { access, pos, dims, time: time.clone() }
         })

@@ -29,7 +29,7 @@ use crate::prelim::{preliminary, PrelimReport};
 use crate::regroup::{self, RegroupLevel, RegroupPlan, RegroupReport};
 use crate::trace::{IrSize, PassEvent, Tracer};
 use gcr_exec::{DataLayout, Machine, NullSink};
-use gcr_ir::{BinOp, Expr, GcrError, GuardedStmt, ParamBinding, Program, Resource, Stmt};
+use gcr_ir::{ArrayId, BinOp, Expr, GcrError, GuardedStmt, ParamBinding, Program, Resource, Stmt};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Oracle fuel when the `fuel` option of [`SafetyOptions`] is unset:
@@ -212,9 +212,17 @@ struct OracleEntry {
 }
 
 /// Post-pass checkpoint state: the oracle plus bookkeeping.
-struct Checker {
+struct Checker<'p> {
     safety: SafetyOptions,
-    oracle: Option<Oracle>,
+    /// The original program, the semantic reference.
+    reference: &'p Program,
+    /// Built from `reference` by the first checkpoint, so a pipeline
+    /// without passes never runs it: `None` until then, `Some(None)` when
+    /// the oracle is off or could not be built.
+    oracle: Option<Option<Oracle>>,
+    /// Why the reference could not be executed (see
+    /// [`RobustnessReport::oracle_disabled`]).
+    oracle_disabled: Option<GcrError>,
     checks: usize,
 }
 
@@ -228,27 +236,47 @@ struct Checker {
 // panics.
 use gcr_par::isolate::{panic_msg, quiet_panics};
 
-/// Elementwise comparison with a relative tolerance (reductions inside one
-/// loop keep their order, so everything else must match almost exactly).
-fn compare(stage: &str, array: &str, want: &[f64], got: &[f64]) -> Result<(), GcrError> {
-    if want.len() != got.len() {
-        return Err(GcrError::OracleMismatch {
-            stage: stage.to_string(),
-            array: array.to_string(),
-            detail: format!("length {} vs {}", want.len(), got.len()),
-        });
+/// Elementwise comparison of array `got` of `m`, read in place in logical
+/// order, against the reference values `want`, with a relative tolerance
+/// (reductions inside one loop keep their order, so everything else must
+/// match almost exactly). `array` names the array in the error.
+fn compare(
+    stage: &str,
+    array: impl FnOnce() -> String,
+    want: impl ExactSizeIterator<Item = f64>,
+    m: &Machine<'_>,
+    got: ArrayId,
+) -> Result<(), GcrError> {
+    let mismatch = |detail: String| GcrError::OracleMismatch {
+        stage: stage.to_string(),
+        array: array(),
+        detail,
+    };
+    let got_len = m.layout.arrays[got.index()].len();
+    if want.len() != got_len {
+        return Err(mismatch(format!("length {} vs {}", want.len(), got_len)));
     }
-    for (i, (&x, &y)) in want.iter().zip(got).enumerate() {
+    let mut want = want.enumerate();
+    let mut first_bad = None;
+    m.visit_array(got, |y| {
+        let (i, x) = want.next().expect("lengths compared above");
         let ok = (x - y).abs() <= 1e-9 * x.abs().max(1.0);
-        if !ok {
-            return Err(GcrError::OracleMismatch {
-                stage: stage.to_string(),
-                array: array.to_string(),
-                detail: format!("element {i}: {x} vs {y}"),
-            });
+        if !ok && first_bad.is_none() {
+            first_bad = Some((i, x, y));
         }
+    });
+    match first_bad {
+        Some((i, x, y)) => Err(mismatch(format!("element {i}: {x} vs {y}"))),
+        None => Ok(()),
     }
-    Ok(())
+}
+
+/// Component `c` of `comps` of a reference array the preliminary passes
+/// split (`u` -> `u__1..u__k`, interleaved innermost): every `comps`-th
+/// value from the `c`-th on, which is the component in logical order because
+/// the first dimension runs fastest.
+fn component(vals: &[f64], c: usize, comps: usize) -> impl ExactSizeIterator<Item = f64> + '_ {
+    vals.iter().skip(c).step_by(comps).copied()
 }
 
 fn build_oracle(prog: &Program, safety: &SafetyOptions) -> Result<Option<Oracle>, GcrError> {
@@ -280,13 +308,13 @@ fn build_oracle(prog: &Program, safety: &SafetyOptions) -> Result<Option<Oracle>
                         name: decl.name.clone(),
                         rank: decl.rank(),
                         comps: decl.dims.first().and_then(|d| d.as_const()).map(|c| c as usize),
-                        initial: m.read_array(gcr_ir::ArrayId::from_index(ai)),
+                        initial: m.read_array(ArrayId::from_index(ai)),
                         final_: Vec::new(),
                     })
                     .collect();
                 m.run_steps_guarded(&mut NullSink, steps, fuel)?;
                 for (ai, e) in entries.iter_mut().enumerate() {
-                    e.final_ = m.read_array(gcr_ir::ArrayId::from_index(ai));
+                    e.final_ = m.read_array(ArrayId::from_index(ai));
                 }
                 runs.push(OracleRun { binding, entries });
             }
@@ -300,7 +328,35 @@ fn build_oracle(prog: &Program, safety: &SafetyOptions) -> Result<Option<Oracle>
     }
 }
 
-impl Checker {
+impl<'p> Checker<'p> {
+    fn new(reference: &'p Program, safety: &SafetyOptions) -> Self {
+        Checker { safety: *safety, reference, oracle: None, oracle_disabled: None, checks: 0 }
+    }
+
+    /// Runs the reference ahead of the first checkpoint. `Err` only under
+    /// [`SafetyOptions::strict`], where an unrunnable reference is fatal to
+    /// the whole pipeline; otherwise it is recorded and passes are vetted
+    /// structurally.
+    fn ensure_oracle(&mut self) -> Result<(), GcrError> {
+        if self.oracle.is_none() {
+            self.oracle = Some(match build_oracle(self.reference, &self.safety) {
+                Ok(o) => o,
+                Err(e) if !self.safety.strict => {
+                    self.oracle_disabled = Some(e);
+                    None
+                }
+                Err(e) => return Err(e),
+            });
+        }
+        Ok(())
+    }
+
+    /// Moves the checkpoint bookkeeping into the pipeline's report.
+    fn finish(self, report: &mut RobustnessReport) {
+        report.checks = self.checks;
+        report.oracle_disabled = self.oracle_disabled;
+    }
+
     /// Validates `prog` and, when the oracle is on, executes it under
     /// `mk_layout` and compares every array against the reference.
     fn check(
@@ -312,7 +368,7 @@ impl Checker {
         self.checks += 1;
         gcr_ir::validate::validate(prog)
             .map_err(|errors| GcrError::Validate { stage: stage.to_string(), errors })?;
-        let Some(o) = &self.oracle else { return Ok(()) };
+        let Some(Some(o)) = &self.oracle else { return Ok(()) };
         let max_bytes = self.safety.max_bytes();
         let run = quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| -> Result<(), GcrError> {
@@ -322,8 +378,7 @@ impl Checker {
                         Machine::try_with_layout(prog, r.binding.clone(), layout, Some(max_bytes))?;
                     // Equalize initial data with the reference: same-name arrays
                     // get the reference contents directly; arrays split by the
-                    // preliminary passes (`u` -> `u__1..u__k`, interleaved
-                    // innermost) get their component slices.
+                    // preliminary passes get their components.
                     for e in &r.entries {
                         if let Some(t) = prog.array_by_name(&e.name) {
                             if prog.array(t).rank() == e.rank {
@@ -334,9 +389,7 @@ impl Checker {
                         let comps = split_comps(e, stage)?;
                         for c in 0..comps {
                             let part = split_part(prog, e, c, stage)?;
-                            let slice: Vec<f64> =
-                                e.initial.iter().skip(c).step_by(comps).copied().collect();
-                            m.write_array(part, &slice)?;
+                            m.write_array_from(part, component(&e.initial, c, comps))?;
                         }
                     }
                     m.run_steps_guarded(&mut NullSink, o.steps, o.fuel)?;
@@ -346,21 +399,16 @@ impl Checker {
                         }
                         if let Some(t) = prog.array_by_name(&e.name) {
                             if prog.array(t).rank() == e.rank {
-                                compare(stage, &e.name, &e.final_, &m.read_array(t))?;
+                                let want = e.final_.iter().copied();
+                                compare(stage, || e.name.clone(), want, &m, t)?;
                                 continue;
                             }
                         }
                         let comps = split_comps(e, stage)?;
                         for c in 0..comps {
                             let part = split_part(prog, e, c, stage)?;
-                            let want: Vec<f64> =
-                                e.final_.iter().skip(c).step_by(comps).copied().collect();
-                            compare(
-                                stage,
-                                &format!("{}__{}", e.name, c + 1),
-                                &want,
-                                &m.read_array(part),
-                            )?;
+                            let name = || format!("{}__{}", e.name, c + 1);
+                            compare(stage, name, component(&e.final_, c, comps), &m, part)?;
                         }
                     }
                 }
@@ -380,12 +428,7 @@ fn split_comps(e: &OracleEntry, stage: &str) -> Result<usize, GcrError> {
     })
 }
 
-fn split_part(
-    prog: &Program,
-    e: &OracleEntry,
-    c: usize,
-    stage: &str,
-) -> Result<gcr_ir::ArrayId, GcrError> {
+fn split_part(prog: &Program, e: &OracleEntry, c: usize, stage: &str) -> Result<ArrayId, GcrError> {
     prog.array_by_name(&format!("{}__{}", e.name, c + 1)).ok_or_else(|| GcrError::Exec {
         why: format!("array {} lost component {} after {stage}", e.name, c + 1),
     })
@@ -421,12 +464,16 @@ fn corrupt(prog: &mut Program) {
 /// recorded; a disabled tracer skips all measurement.
 fn attempt<T>(
     program: &mut Program,
-    checker: &mut Checker,
+    checker: &mut Checker<'_>,
     tracer: &mut Tracer,
     pass: Pass,
     mk_layout: &dyn Fn(&Program, &ParamBinding) -> DataLayout,
     f: impl FnOnce(&mut Program) -> Result<T, GcrError>,
 ) -> Result<T, GcrError> {
+    // Fails only in strict mode, where every caller returns a pass error
+    // as the pipeline's: the same `Err`, before any pass runs or is traced,
+    // as when the reference was run up front.
+    checker.ensure_oracle()?;
     let snapshot = program.clone();
     let stage = pass.to_string();
     let before = tracer.is_enabled().then(|| IrSize::of(program));
@@ -507,11 +554,11 @@ fn merge_fusion(total: &mut FusionReport, level: usize, rep: FusionReport) {
 
 /// The fail-safe counterpart of [`crate::pipeline::optimize`].
 ///
-/// Fatal errors (`Err`) are limited to: an invalid *input* program, a
-/// failure to execute the *original* program (it is the semantic
-/// reference), and — under [`SafetyOptions::strict`] — the first pass
-/// failure. Everything else degrades per the ladder and is recorded in the
-/// returned program's [`RobustnessReport`].
+/// Fatal errors (`Err`) are limited to: an invalid *input* program and,
+/// under [`SafetyOptions::strict`], a failure to execute the *original*
+/// program (the semantic reference, run when the first pass is about to be
+/// checked) or the first pass failure. Everything else degrades per the
+/// ladder and is recorded in the returned program's [`RobustnessReport`].
 ///
 /// ```
 /// use gcr_core::{optimize_checked, OptimizeOptions, SafetyOptions};
@@ -548,16 +595,7 @@ pub fn optimize_checked_traced(
     gcr_ir::validate::validate(prog)
         .map_err(|errors| GcrError::Validate { stage: "input".into(), errors })?;
     let mut report = RobustnessReport::default();
-    let oracle = match build_oracle(prog, safety) {
-        Ok(o) => o,
-        Err(e) if !safety.strict => {
-            // The reference itself cannot run; vet passes structurally.
-            report.oracle_disabled = Some(e);
-            None
-        }
-        Err(e) => return Err(e),
-    };
-    let mut checker = Checker { safety: *safety, oracle, checks: 0 };
+    let mut checker = Checker::new(prog, safety);
     let mut program = prog.clone();
 
     let mut want_levels = if opts.fusion { opts.fusion_opts.max_levels } else { 0 };
@@ -776,7 +814,7 @@ pub fn optimize_checked_traced(
         }
     }
 
-    report.checks = checker.checks;
+    checker.finish(&mut report);
     report.strategy = state_label(want_levels, want_regroup, rl, baseline);
     Ok(OptimizedProgram {
         program,
@@ -817,15 +855,7 @@ pub fn apply_strategy_checked_traced(
         gcr_ir::validate::validate(prog)
             .map_err(|errors| GcrError::Validate { stage: "input".into(), errors })?;
         let mut report = RobustnessReport::default();
-        let oracle = match build_oracle(prog, safety) {
-            Ok(o) => o,
-            Err(e) if !safety.strict => {
-                report.oracle_disabled = Some(e);
-                None
-            }
-            Err(e) => return Err(e),
-        };
-        let mut checker = Checker { safety: *safety, oracle, checks: 0 };
+        let mut checker = Checker::new(prog, safety);
         let mut program = prog.clone();
         let mut baseline_rep = BaselineReport::default();
         let mut pad = BASELINE_PAD_BYTES;
@@ -850,7 +880,7 @@ pub fn apply_strategy_checked_traced(
                 pad = 0;
             }
         }
-        report.checks = checker.checks;
+        checker.finish(&mut report);
         return Ok(OptimizedProgram {
             program,
             prelim: PrelimReport::default(),

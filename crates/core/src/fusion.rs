@@ -141,17 +141,7 @@ pub fn fuse_program(prog: &mut Program, opts: &FusionOptions) -> FusionReport {
         fused: vec![0; opts.max_levels.max(1)],
         ..Default::default()
     };
-    let ranges = var_ranges(prog);
-    let mut fuser = Fuser {
-        ranges,
-        opts: *opts,
-        report: &mut report,
-        next_ident: 0,
-        memo: HashSet::new(),
-        level: 0,
-        enclosing: None,
-        steps: 0,
-    };
+    let mut fuser = Fuser::new(prog, opts, &mut report, 1);
     let body = std::mem::take(&mut prog.body);
     prog.body = fuser.fuse_level(body);
     if opts.max_levels > 1 {
@@ -173,17 +163,7 @@ pub fn fuse_one_level(prog: &mut Program, opts: &FusionOptions, level: usize) ->
         fused: vec![0; level.max(1)],
         ..Default::default()
     };
-    let ranges = var_ranges(prog);
-    let mut fuser = Fuser {
-        ranges,
-        opts: *opts,
-        report: &mut report,
-        next_ident: 0,
-        memo: HashSet::new(),
-        level: level.saturating_sub(1),
-        enclosing: None,
-        steps: 0,
-    };
+    let mut fuser = Fuser::new(prog, opts, &mut report, level);
     if level <= 1 {
         let body = std::mem::take(&mut prog.body);
         prog.body = fuser.fuse_level(body);
@@ -216,6 +196,37 @@ struct Slot {
     ident: u32,
     gs: Option<GuardedStmt>,
     arrays: BTreeSet<ArrayId>,
+    /// [`Fuser::member_refs`] of the slot's loop, kept between
+    /// `FusibleTest`s: `GreedilyFuse` is incremental, so a merge classifies
+    /// only the members it appends instead of every test re-classifying the
+    /// whole growing loop. `None` until first needed, and again after a
+    /// change that moves the time range of members already classified.
+    refs: Option<Vec<LevelRef>>,
+}
+
+impl Slot {
+    fn new(ident: u32, gs: GuardedStmt) -> Slot {
+        let arrays = touched_arrays(&gs.stmt);
+        Slot { ident, gs: Some(gs), arrays, refs: None }
+    }
+
+    fn as_loop(&self) -> &Loop {
+        self.gs.as_ref().unwrap().stmt.as_loop().unwrap()
+    }
+}
+
+/// Restricts a member's guard to its loop's range ahead of a hull change
+/// (`None` means the whole range). Returns `false` when that moved the
+/// member's active range, which any level refs cached for it carry.
+fn absorb_range(m: &mut GuardedStmt, range: &Range) -> bool {
+    let Some(g) = m.guard.take() else {
+        m.guard = Some(range.clone());
+        return true;
+    };
+    let narrowed = intersect(&g, range).expect("comparability checked by the caller");
+    let same = narrowed == g;
+    m.guard = Some(narrowed);
+    same
 }
 
 /// Result of `FusibleTest`.
@@ -229,6 +240,26 @@ enum Fusible {
 }
 
 impl<'r> Fuser<'r> {
+    /// A fuser for `prog`, counting its fusions under `level` (1 =
+    /// outermost).
+    fn new(
+        prog: &Program,
+        opts: &FusionOptions,
+        report: &'r mut FusionReport,
+        level: usize,
+    ) -> Self {
+        Fuser {
+            ranges: var_ranges(prog),
+            opts: *opts,
+            report,
+            next_ident: 0,
+            memo: HashSet::new(),
+            level: level.saturating_sub(1),
+            enclosing: None,
+            steps: 0,
+        }
+    }
+
     fn new_ident(&mut self) -> u32 {
         self.next_ident += 1;
         self.next_ident
@@ -275,8 +306,7 @@ impl<'r> Fuser<'r> {
         let mut slots: Vec<Slot> = Vec::with_capacity(members.len());
         for gs in members {
             let ident = self.new_ident();
-            let arrays = touched_arrays(&gs.stmt);
-            slots.push(Slot { ident, gs: Some(gs), arrays });
+            slots.push(Slot::new(ident, gs));
             self.greedily_fuse(&mut slots, ident);
         }
         slots.into_iter().filter_map(|s| s.gs).collect()
@@ -331,8 +361,7 @@ impl<'r> Fuser<'r> {
                             let mut peel_ids = Vec::new();
                             for (off, p) in peeled.into_iter().enumerate() {
                                 let ident = self.new_ident();
-                                let arrays = touched_arrays(&p.stmt);
-                                slots.insert(i + 1 + off, Slot { ident, gs: Some(p), arrays });
+                                slots.insert(i + 1 + off, Slot::new(ident, p));
                                 peel_ids.push(ident);
                             }
                             // LIFO: retry loop first, peels afterwards.
@@ -360,24 +389,58 @@ impl<'r> Fuser<'r> {
         }
     }
 
+    /// Level refs of the members of loop `l` from position `from` on.
+    fn member_refs_from(&self, l: &Loop, from: usize) -> Vec<LevelRef> {
+        let range = l.range();
+        l.body[from..]
+            .iter()
+            .flat_map(|m| classify_level_refs(m, l.var, &range, &self.ranges))
+            .collect()
+    }
+
     /// Level refs of a member list seen as members of loop `l`.
     fn member_refs(&self, l: &Loop) -> Vec<LevelRef> {
-        let range = l.range();
-        l.body.iter().flat_map(|m| classify_level_refs(m, l.var, &range, &self.ranges)).collect()
+        self.member_refs_from(l, 0)
+    }
+
+    /// Fills the ref cache of a loop slot if it is empty.
+    fn ensure_refs(&self, slot: &mut Slot) {
+        if slot.refs.is_none() {
+            slot.refs = Some(self.member_refs(slot.as_loop()));
+        }
+        self.check_refs(slot);
+    }
+
+    /// Self-check of the ref cache in debug and test builds: whatever is
+    /// cached must equal a classification from scratch.
+    fn check_refs(&self, slot: &Slot) {
+        debug_assert!(
+            slot.refs.as_ref().is_none_or(|refs| *refs == self.member_refs(slot.as_loop())),
+            "stale level-ref cache in slot {}",
+            slot.ident
+        );
+    }
+
+    /// Appends the refs of the members from `first_new` on to a slot's
+    /// cache (taken out as `refs` while the loop was edited) and puts it
+    /// back; a cache that was empty or invalidated stays empty.
+    fn extend_refs(&self, slot: &mut Slot, refs: Option<Vec<LevelRef>>, first_new: usize) {
+        slot.refs = refs.map(|mut refs| {
+            refs.extend(self.member_refs_from(slot.as_loop(), first_new));
+            refs
+        });
+        self.check_refs(slot);
     }
 
     /// The paper's `FusibleTest`: can the loop in slot `i` fuse into the
     /// fused loop in slot `j`, and with what alignment?
-    fn fusible_test(&mut self, slots: &[Slot], j: usize, i: usize) -> Fusible {
-        let lf = slots[j].gs.as_ref().unwrap().stmt.as_loop().unwrap();
-        let lg = slots[i].gs.as_ref().unwrap().stmt.as_loop().unwrap();
-        let f_refs = self.member_refs(lf);
-        let g_refs = self.member_refs(lg);
-        let Some(lo2) = lg.lo.as_const() else {
-            // Symbolic lower bound: peeling positions can't be compared.
-            return self.constraints_to_fusible(&f_refs, &g_refs, lf, lg, None);
-        };
-        self.constraints_to_fusible(&f_refs, &g_refs, lf, lg, Some(lo2))
+    fn fusible_test(&mut self, slots: &mut [Slot], j: usize, i: usize) -> Fusible {
+        self.ensure_refs(&mut slots[j]);
+        self.ensure_refs(&mut slots[i]);
+        let (lf, f_refs) = (slots[j].as_loop(), slots[j].refs.as_deref().unwrap());
+        let (lg, g_refs) = (slots[i].as_loop(), slots[i].refs.as_deref().unwrap());
+        // Under a symbolic lower bound peeling positions can't be compared.
+        self.constraints_to_fusible(f_refs, g_refs, lf, lg, lg.lo.as_const())
     }
 
     fn constraints_to_fusible(
@@ -509,6 +572,8 @@ impl<'r> Fuser<'r> {
             }
         }
         l.lo = l.lo.add_const(head);
+        // Unguarded members were active over the range just shrunk.
+        slots[i].refs = None;
         out
     }
 
@@ -520,6 +585,10 @@ impl<'r> Fuser<'r> {
         let gi_wrap = slots[i].gs.take().unwrap();
         let Stmt::Loop(mut lg) = gi_wrap.stmt else { unreachable!() };
         let arrays_i = std::mem::take(&mut slots[i].arrays);
+        // The incoming members are classified again below, renamed and
+        // shifted into the fused loop's iteration space.
+        slots[i].refs = None;
+        let mut f_refs = slots[j].refs.take();
         let gj_wrap = slots[j].gs.as_mut().unwrap();
         let (merged_guard, merged_outer, extra_j, extra_i) = merge_slot_meta(
             &self.enclosing,
@@ -541,10 +610,9 @@ impl<'r> Fuser<'r> {
         }
         let f_range = lf.range();
         for m in &mut lf.body {
-            m.guard = Some(match m.guard.take() {
-                Some(g) => intersect(&g, &f_range).expect("checked in FusibleTest"),
-                None => f_range.clone(),
-            });
+            if !absorb_range(m, &f_range) {
+                f_refs = None;
+            }
             m.outer.extend(extra_j.iter().cloned());
         }
         lf.lo = lf.lo.min_large(&lg.lo.add_const(a)).expect("checked in FusibleTest");
@@ -552,22 +620,24 @@ impl<'r> Fuser<'r> {
         // Update the recorded range of the fused loop's variable so later
         // footprint queries (Span sets for inner vars, etc.) stay accurate.
         self.ranges.insert(lf.var, lf.range());
+        let first_new = lf.body.len();
         lf.body.append(&mut lg.body);
         gj_wrap.guard = merged_guard;
         gj_wrap.outer = merged_outer;
         slots[j].arrays.extend(arrays_i);
+        self.extend_refs(&mut slots[j], f_refs, first_new);
     }
 
     /// Embeds the non-loop statement in slot `i` into the loop in slot `j`.
     /// Returns `false` when no legal single-iteration position exists.
     fn embed(&mut self, slots: &mut [Slot], j: usize, i: usize) -> bool {
-        let lf = slots[j].gs.as_ref().unwrap().stmt.as_loop().unwrap();
-        let f_refs = self.member_refs(lf);
+        self.ensure_refs(&mut slots[j]);
+        let (lf, f_refs) = (slots[j].as_loop(), slots[j].refs.as_deref().unwrap());
         // Classify the statement's refs with a throwaway time range.
         let member = GuardedStmt::bare(slots[i].gs.as_ref().unwrap().stmt.clone());
         let s_refs = classify_level_refs(&member, lf.var, &lf.range(), &self.ranges);
         let mut pos: Option<LinExpr> = None;
-        for f in &f_refs {
+        for f in f_refs {
             for s in &s_refs {
                 if f.access.aref.array != s.access.aref.array {
                     continue;
@@ -616,21 +686,22 @@ impl<'r> Fuser<'r> {
         }
         let gi = slots[i].gs.take().unwrap();
         let arrays_i = std::mem::take(&mut slots[i].arrays);
+        let mut f_refs = slots[j].refs.take();
         let gj = slots[j].gs.as_mut().unwrap();
         let (merged_guard, merged_outer, extra_j, extra_i) =
             merge_slot_meta(&self.enclosing, (&gj.guard, &gj.outer), (&gi.guard, &gi.outer));
         let Stmt::Loop(lf) = &mut gj.stmt else { unreachable!() };
         let f_range = lf.range();
         for m in &mut lf.body {
-            m.guard = Some(match m.guard.take() {
-                Some(g) => intersect(&g, &f_range).expect("checked above"),
-                None => f_range.clone(),
-            });
+            if !absorb_range(m, &f_range) {
+                f_refs = None;
+            }
             m.outer.extend(extra_j.iter().cloned());
         }
         lf.lo = new_lo;
         lf.hi = new_hi;
         self.ranges.insert(lf.var, lf.range());
+        let first_new = lf.body.len();
         lf.body.push(GuardedStmt {
             stmt: gi.stmt,
             guard: Some(Range::single(pos)),
@@ -639,6 +710,7 @@ impl<'r> Fuser<'r> {
         gj.guard = merged_guard;
         gj.outer = merged_outer;
         slots[j].arrays.extend(arrays_i);
+        self.extend_refs(&mut slots[j], f_refs, first_new);
         true
     }
 }
@@ -1139,5 +1211,148 @@ for i = 2, N {
             "{:?}",
             rep.infusible
         );
+    }
+}
+
+/// The per-slot level-ref cache, driven through the fuser's own steps. (In
+/// this build every fill and extension is also checked against a
+/// classification from scratch, see `Fuser::check_refs`.)
+#[cfg(test)]
+mod ref_cache_tests {
+    use super::*;
+    use gcr_frontend::parse;
+
+    /// One slot per top-level statement, as `fuse_level` starts out.
+    fn slots_of(prog: &Program) -> Vec<Slot> {
+        prog.body.iter().enumerate().map(|(k, gs)| Slot::new(k as u32 + 1, gs.clone())).collect()
+    }
+
+    #[test]
+    fn cache_survives_a_fusion_with_nonzero_alignment() {
+        let prog = parse(
+            "
+program pc
+param N
+array A[N], B[N]
+
+for i = 1, N {
+  A[i] = f(A[i])
+}
+for i = 3, N {
+  B[i] = g(A[i-2])
+}
+",
+        )
+        .unwrap();
+        let mut report = FusionReport { fused: vec![0], ..Default::default() };
+        let mut fuser = Fuser::new(&prog, &FusionOptions::default(), &mut report, 1);
+        let mut slots = slots_of(&prog);
+        let align = match fuser.fusible_test(&mut slots, 0, 1) {
+            Fusible::Yes { align, peel_head: 0 } => align,
+            _ => panic!("the pair fuses without peeling"),
+        };
+        assert_eq!(align, -2);
+        let before = slots[0].refs.clone().expect("filled by FusibleTest");
+        assert!(slots[1].refs.is_some());
+        fuser.fuse_loops(&mut slots, 0, 1, align);
+        // Extended by the two incoming refs, not dropped and refilled.
+        let cached = slots[0].refs.as_ref().expect("kept across the merge");
+        assert_eq!(cached[..before.len()], before[..]);
+        assert_eq!(cached.len(), before.len() + 2);
+        assert_eq!(*cached, fuser.member_refs(slots[0].as_loop()));
+        // The incoming members were classified after their rename and
+        // shift: `B[i+2] = g(A[i])`, active over [1, N-2].
+        let b_write = cached.last().unwrap();
+        assert_eq!(b_write.pos, LevelPos::Variant { dim: 0, offset: 2 });
+        assert_eq!(cached[before.len()].pos, LevelPos::Variant { dim: 0, offset: 0 });
+        assert_eq!(b_write.time.lo.as_const(), Some(1));
+        assert_eq!(b_write.time.hi, slots[0].as_loop().hi.add_const(-2));
+        assert!(slots[1].gs.is_none() && slots[1].refs.is_none());
+    }
+
+    #[test]
+    fn peel_head_invalidates_the_cache() {
+        let prog = parse(
+            "
+program peel
+param N
+array A[N], B[N]
+
+for i = 2, N {
+  B[i] = g(A[i-1])
+}
+",
+        )
+        .unwrap();
+        let mut report = FusionReport::default();
+        let mut fuser = Fuser::new(&prog, &FusionOptions::default(), &mut report, 1);
+        let mut slots = slots_of(&prog);
+        fuser.ensure_refs(&mut slots[0]);
+        assert_eq!(slots[0].refs.as_ref().unwrap()[0].time.lo.as_const(), Some(2));
+        let peeled = fuser.peel_head(&mut slots, 0, 1);
+        assert_eq!(peeled.len(), 1);
+        // The unguarded member's time was the loop range, which just shrank.
+        assert!(slots[0].refs.is_none());
+        fuser.ensure_refs(&mut slots[0]);
+        assert_eq!(slots[0].refs.as_ref().unwrap()[0].time.lo.as_const(), Some(3));
+    }
+
+    #[test]
+    fn embed_extends_the_cache_unless_it_moves_the_hull() {
+        // Inside the hull: the cache grows by the embedded statement's refs.
+        let inside = parse(
+            "
+program inside
+param N
+array A[N], B[N]
+
+for i = 1, N {
+  A[i] = f(B[i])
+}
+B[1] = A[N]
+",
+        )
+        .unwrap();
+        let mut report = FusionReport::default();
+        let mut fuser = Fuser::new(&inside, &FusionOptions::default(), &mut report, 1);
+        let mut slots = slots_of(&inside);
+        fuser.ensure_refs(&mut slots[0]);
+        assert!(fuser.embed(&mut slots, 0, 1));
+        let cached = slots[0].refs.as_ref().expect("extended in place");
+        assert_eq!(cached.len(), 4);
+        assert_eq!(*cached, fuser.member_refs(slots[0].as_loop()));
+        assert_eq!(cached[3].time, cached[2].time);
+        assert_eq!(cached[3].time.lo, cached[3].time.hi, "one iteration: {:?}", cached[3].time);
+
+        // A member guard wider than its loop lets the statement land past
+        // the loop's end: the hull grows to [1, N] and the member's guard is
+        // cut back to the old range, so what was cached for it is stale and
+        // must not be kept.
+        let beyond = parse(
+            "
+program beyond
+param N
+array A[N], B[N], C[N]
+
+for i = 1, N - 2 {
+  when [1, N] A[i] = f(C[i])
+}
+B[1] = A[N]
+",
+        )
+        .unwrap();
+        let mut report = FusionReport::default();
+        let mut fuser = Fuser::new(&beyond, &FusionOptions::default(), &mut report, 1);
+        let mut slots = slots_of(&beyond);
+        fuser.ensure_refs(&mut slots[0]);
+        let old_hi = slots[0].as_loop().hi.clone();
+        assert_eq!(slots[0].refs.as_ref().unwrap()[0].time.hi, old_hi.add_const(2));
+        assert!(fuser.embed(&mut slots, 0, 1));
+        assert_eq!(slots[0].as_loop().hi, old_hi.add_const(2), "hull extended");
+        assert!(slots[0].refs.is_none(), "stale times dropped with the cache");
+        fuser.ensure_refs(&mut slots[0]);
+        let refilled = slots[0].refs.as_ref().unwrap();
+        assert_eq!(refilled[0].time.hi, old_hi);
+        assert_eq!(refilled.last().unwrap().time.lo, old_hi.add_const(2));
     }
 }

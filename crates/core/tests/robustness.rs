@@ -223,3 +223,81 @@ fn oracle_fuel_exhaustion_degrades_gracefully() {
     let opt = apply_strategy_checked(&prog, FULL, &safety).unwrap();
     assert_same_semantics(&prog, &opt);
 }
+
+#[test]
+fn original_strategy_builds_no_oracle() {
+    let prog = parse(SRC).unwrap();
+    // One unit of fuel cannot run the reference; with no pass there is no
+    // checkpoint to consult it, so even strict mode has nothing to refuse.
+    let strict = SafetyOptions { fuel: Some(1), strict: true, ..Default::default() };
+    let opt = apply_strategy_checked(&prog, Strategy::Original, &strict).unwrap();
+    assert_eq!(opt.robustness.checks, 0);
+    assert_eq!(opt.robustness.oracle_disabled, None);
+    assert_eq!(opt.robustness.strategy, "original");
+    // With passes to vet, the same options still refuse up front...
+    let starved =
+        GcrError::BudgetExceeded { resource: gcr_ir::Resource::InterpreterFuel, limit: 1 };
+    assert_eq!(apply_strategy_checked(&prog, FULL, &strict).unwrap_err(), starved);
+    assert_eq!(apply_strategy_checked(&prog, Strategy::Sgi, &strict).unwrap_err(), starved);
+    // ...and without strict mode the first checkpoint records why the
+    // oracle is off, and every pass is still vetted structurally.
+    let lenient = SafetyOptions { strict: false, ..strict };
+    let opt = apply_strategy_checked(&prog, FULL, &lenient).unwrap();
+    assert_eq!(opt.robustness.oracle_disabled, Some(starved));
+    assert_eq!(opt.robustness.checks, 5);
+    assert!(!opt.robustness.degraded(), "{:?}", opt.robustness);
+    assert_eq!(
+        opt.robustness.describe(),
+        ["warning: semantic oracle disabled (budget exceeded: interpreter fuel limit 1 \
+          exhausted); passes checked by validation only"]
+    );
+    assert_same_semantics(&prog, &opt);
+}
+
+#[test]
+fn regroup_fault_is_caught_under_the_regrouped_layout() {
+    // Two arrays always accessed together, so regrouping interleaves them:
+    // the checkpoint that must catch the fault reads every array in place
+    // through strides that are not the default layout's.
+    let prog = parse(
+        "
+program pair
+param N
+array X[N, N], Y[N, N]
+
+for i = 1, N {
+  for j = 1, N {
+    X[j, i] = f(X[j, i], Y[j, i])
+  }
+}
+for i = 1, N {
+  for j = 1, N {
+    Y[j, i] = g(X[j, i], Y[j, i])
+  }
+}
+",
+    )
+    .unwrap();
+    let clean = apply_strategy_checked(&prog, FULL, &SafetyOptions::default()).unwrap();
+    let bind = ParamBinding::new(vec![12]);
+    assert_ne!(
+        clean.layout(&bind),
+        gcr_exec::DataLayout::column_major(&clean.program, &bind, clean.pad_bytes),
+        "regrouping must change the layout for this test to mean anything"
+    );
+    assert_same_semantics(&prog, &clean);
+    let safety = SafetyOptions { inject_fault: Some(Pass::Regroup), ..Default::default() };
+    let opt = apply_strategy_checked(&prog, FULL, &safety).unwrap();
+    let fb = &opt.robustness.fallbacks[0];
+    assert_eq!(fb.pass, Pass::Regroup);
+    match &fb.cause {
+        GcrError::OracleMismatch { stage, array, detail } => {
+            assert_eq!(stage, "regroup");
+            assert_eq!(array, "X", "the corrupted statement writes X");
+            assert!(detail.starts_with("element 0: "), "first element in logical order: {detail}");
+        }
+        other => panic!("cause should be the oracle: {other}"),
+    }
+    assert!(opt.plan.is_none(), "regrouping plan must be dropped");
+    assert_same_semantics(&prog, &opt);
+}

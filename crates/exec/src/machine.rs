@@ -11,7 +11,7 @@
 //! embedding, peeling) run without code generation.
 
 use crate::compile::Refusal;
-use crate::layout::DataLayout;
+use crate::layout::{ArrayLayout, DataLayout, ELEM_BYTES};
 use gcr_ir::{
     ArrayId, ArrayRef, AssignKind, BinOp, Expr, GcrError, GuardedStmt, Loop, ParamBinding, Program,
     ReduceOp, RefId, Resource, Stmt, StmtId, Subscript, UnOp,
@@ -415,7 +415,7 @@ impl<'p> Machine<'p> {
         let mut m = Machine {
             prog,
             binding,
-            mem: vec![0.0; layout.total_bytes / crate::layout::ELEM_BYTES + 1],
+            mem: vec![0.0; layout.total_bytes / ELEM_BYTES + 1],
             layout,
             vars: vec![0; prog.vars.len()],
             op_counts,
@@ -481,9 +481,8 @@ impl<'p> Machine<'p> {
     pub fn init_memory(&mut self) {
         for (ai, al) in self.layout.arrays.iter().enumerate() {
             let mut flat = 0u64;
-            let mem = &mut self.mem;
-            for_each_index(&al.extents, |idx| {
-                mem[al.addr(idx) / crate::layout::ELEM_BYTES] = init_value(ai as u64, flat);
+            for_each_elem_mut(&mut self.mem, al, |elem| {
+                *elem = init_value(ai as u64, flat);
                 flat += 1;
             });
         }
@@ -589,10 +588,20 @@ impl<'p> Machine<'p> {
     pub fn read_array(&self, a: ArrayId) -> Vec<f64> {
         let al = &self.layout.arrays[a.index()];
         let mut out = Vec::with_capacity(al.len());
-        for_each_index(&al.extents, |idx| {
-            out.push(self.mem[al.addr(idx) / crate::layout::ELEM_BYTES]);
+        for_each_run(al, |start, len, stride| {
+            if stride == ELEM_BYTES {
+                out.extend_from_slice(&self.mem[start / ELEM_BYTES..][..len]);
+            } else {
+                out.extend((0..len).map(|k| self.mem[(start + k * stride) / ELEM_BYTES]));
+            }
         });
         out
+    }
+
+    /// Calls `f` with every element of an array in logical order — what
+    /// [`Machine::read_array`] would return, visited in place.
+    pub fn visit_array(&self, a: ArrayId, f: impl FnMut(f64)) {
+        for_each_elem(&self.mem, &self.layout.arrays[a.index()], f);
     }
 
     /// Writes an array's contents in logical (odometer) order — the inverse
@@ -601,30 +610,57 @@ impl<'p> Machine<'p> {
     /// splitting). Fails with [`GcrError::LayoutMismatch`] when the value
     /// count disagrees with the layout's element count.
     pub fn write_array(&mut self, a: ArrayId, vals: &[f64]) -> Result<(), GcrError> {
-        let al = &self.layout.arrays[a.index()];
-        if vals.len() != al.len() {
-            return Err(GcrError::LayoutMismatch {
-                array: self.prog.array(a).name.clone(),
-                expected: al.len(),
-                got: vals.len(),
-            });
-        }
-        let mut it = vals.iter();
+        self.check_len(a, vals.len())?;
+        let mut rest = vals;
         let mem = &mut self.mem;
-        for_each_index(&al.extents, |idx| {
-            mem[al.addr(idx) / crate::layout::ELEM_BYTES] = *it.next().unwrap();
+        for_each_run(&self.layout.arrays[a.index()], |start, len, stride| {
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            if stride == ELEM_BYTES {
+                mem[start / ELEM_BYTES..][..len].copy_from_slice(run);
+            } else {
+                run.iter()
+                    .enumerate()
+                    .for_each(|(k, &v)| mem[(start + k * stride) / ELEM_BYTES] = v);
+            }
         });
         Ok(())
+    }
+
+    /// [`Machine::write_array`] from any source of exactly as many values
+    /// as the array has elements, e.g. every `k`-th value of a slice.
+    pub fn write_array_from(
+        &mut self,
+        a: ArrayId,
+        vals: impl ExactSizeIterator<Item = f64>,
+    ) -> Result<(), GcrError> {
+        self.check_len(a, vals.len())?;
+        let mut vals = vals;
+        for_each_elem_mut(&mut self.mem, &self.layout.arrays[a.index()], |elem| {
+            *elem = vals.next().expect("length checked");
+        });
+        Ok(())
+    }
+
+    fn check_len(&self, a: ArrayId, got: usize) -> Result<(), GcrError> {
+        let expected = self.layout.arrays[a.index()].len();
+        if got == expected {
+            return Ok(());
+        }
+        Err(GcrError::LayoutMismatch { array: self.prog.array(a).name.clone(), expected, got })
     }
 
     /// Sum over all arrays' logical contents (cheap equivalence signal).
     pub fn checksum(&self) -> f64 {
         (0..self.prog.arrays.len())
             .map(|i| {
-                self.read_array(ArrayId::from_index(i))
-                    .into_iter()
-                    .map(|v| if v.is_finite() { v } else { 0.0 })
-                    .sum::<f64>()
+                let mut sum = 0.0;
+                self.visit_array(ArrayId::from_index(i), |v| {
+                    if v.is_finite() {
+                        sum += v;
+                    }
+                });
+                sum
             })
             .sum()
     }
@@ -670,29 +706,70 @@ fn init_value(ai: u64, flat: u64) -> f64 {
     0.5 + (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Visits every logical index tuple of an array (1-based, innermost dimension
-/// fastest — the logical order used by `init_memory` and `read_array`).
-fn for_each_index(extents: &[i64], mut f: impl FnMut(&[i64])) {
-    let rank = extents.len();
-    let mut idx = vec![1i64; rank];
-    if extents.iter().any(|&e| e <= 0) {
+/// Calls `run(start, len, stride)` for every run of an array — `len`
+/// logically consecutive elements, the first at byte address `start`, a
+/// constant `stride` bytes apart — in logical order (first dimension
+/// fastest, 1-based: the order of `init_memory`, `read_array` and
+/// `write_array`). A run is the first dimension extended over every
+/// following dimension that continues it without a gap, so a column-major
+/// array is one run, and so is a member of an element-interleaved group;
+/// the remaining dimensions are an odometer that carries the address along,
+/// and no index tuple is turned into an address per element.
+fn for_each_run(al: &ArrayLayout, mut run: impl FnMut(usize, usize, usize)) {
+    if al.extents.iter().any(|&e| e <= 0) {
         return;
     }
+    let (mut len, stride, mut outer) = match (al.extents.first(), al.strides.first()) {
+        (Some(&n), Some(&stride)) => (n as usize, stride, 1),
+        _ => (1, 0, 0), // a scalar
+    };
+    while outer < al.extents.len() && stride.checked_mul(len) == Some(al.strides[outer]) {
+        len *= al.extents[outer] as usize;
+        outer += 1;
+    }
+    let (extents, strides) = (&al.extents[outer..], &al.strides[outer..]);
+    let mut idx = vec![1i64; extents.len()];
+    let mut start = al.base;
     loop {
-        f(&idx);
+        run(start, len, stride);
         let mut d = 0;
-        while d < rank {
-            idx[d] += 1;
-            if idx[d] <= extents[d] {
+        loop {
+            if d == idx.len() {
+                return; // odometer wrapped (at once when the array is one run)
+            }
+            if idx[d] < extents[d] {
+                idx[d] += 1;
+                start += strides[d];
                 break;
             }
+            start -= strides[d] * (idx[d] - 1) as usize;
             idx[d] = 1;
             d += 1;
         }
-        if d == rank {
-            return; // odometer wrapped (also the rank-0 single visit)
-        }
     }
+}
+
+/// Calls `f` with every element of an array in the memory image `mem`, in
+/// logical order.
+fn for_each_elem(mem: &[f64], al: &ArrayLayout, mut f: impl FnMut(f64)) {
+    for_each_run(al, |start, len, stride| {
+        if stride == ELEM_BYTES {
+            mem[start / ELEM_BYTES..][..len].iter().for_each(|&v| f(v));
+        } else {
+            (0..len).for_each(|k| f(mem[(start + k * stride) / ELEM_BYTES]));
+        }
+    });
+}
+
+/// [`for_each_elem`] over the elements' places, for filling them.
+fn for_each_elem_mut(mem: &mut [f64], al: &ArrayLayout, mut f: impl FnMut(&mut f64)) {
+    for_each_run(al, |start, len, stride| {
+        if stride == ELEM_BYTES {
+            mem[start / ELEM_BYTES..][..len].iter_mut().for_each(&mut f);
+        } else {
+            (0..len).for_each(|k| f(&mut mem[(start + k * stride) / ELEM_BYTES]));
+        }
+    });
 }
 
 struct Ctx<'a> {
@@ -880,7 +957,7 @@ impl Ctx<'_> {
             );
             addr += al.strides[k] * (i - 1) as usize;
         }
-        Slot { byte: addr as u64, elem: addr / crate::layout::ELEM_BYTES }
+        Slot { byte: addr as u64, elem: addr / ELEM_BYTES }
     }
 
     /// Reports one traced access at an already-located address. Callers
@@ -1235,5 +1312,161 @@ mod tests {
         assert_eq!(err, GcrError::LayoutMismatch { array: "A".into(), expected: 4, got: 2 });
         m.write_array(a, &[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(m.read_array(a), vec![1.0, 2.0, 3.0, 4.0]);
+    }
+
+    // ---- the strided walkers against the definition they replaced ----
+
+    /// The definition the strided walkers are held to: every logical
+    /// index tuple of an array (1-based, innermost dimension fastest), to be
+    /// addressed through [`ArrayLayout::addr`].
+    fn for_each_index(extents: &[i64], mut f: impl FnMut(&[i64])) {
+        let rank = extents.len();
+        let mut idx = vec![1i64; rank];
+        if extents.iter().any(|&e| e <= 0) {
+            return;
+        }
+        loop {
+            f(&idx);
+            let mut d = 0;
+            while d < rank {
+                idx[d] += 1;
+                if idx[d] <= extents[d] {
+                    break;
+                }
+                idx[d] = 1;
+                d += 1;
+            }
+            if d == rank {
+                return; // odometer wrapped (also the rank-0 single visit)
+            }
+        }
+    }
+
+    /// Memory-image slot of every element of an array in logical order, by
+    /// the old definition.
+    fn reference_slots(al: &ArrayLayout) -> Vec<usize> {
+        let mut slots = Vec::new();
+        for_each_index(&al.extents, |idx| slots.push(al.addr(idx) / ELEM_BYTES));
+        slots
+    }
+
+    /// `group` arrays of the given constant extents.
+    fn same_shape_arrays(extents: &[i64], group: usize) -> Program {
+        let mut b = ProgramBuilder::new("walk");
+        let dims: Vec<LinExpr> = extents.iter().map(|&e| LinExpr::konst(e)).collect();
+        for k in 0..group {
+            b.array(format!("A{k}"), &dims);
+        }
+        b.finish()
+    }
+
+    /// The layout `gcr_core::regroup::layout` gives a group whose members
+    /// stay together down to dimension `split` and are separate below it
+    /// (`split == 0` interleaves elements): column-major inside a member's
+    /// block, member blocks side by side, every stride from `split` up
+    /// multiplied by the group size.
+    fn interleaved(extents: &[i64], group: usize, split: usize, base: usize) -> DataLayout {
+        let split = split.min(extents.len());
+        let block = |d: usize| ELEM_BYTES * extents[..d].iter().product::<i64>() as usize;
+        let arrays = (0..group)
+            .map(|m| ArrayLayout {
+                base: base + m * block(split),
+                strides: (0..extents.len())
+                    .map(|d| if d < split { block(d) } else { group * block(d) })
+                    .collect(),
+                extents: extents.to_vec(),
+            })
+            .collect();
+        DataLayout { arrays, total_bytes: base + group * block(extents.len()) }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn walkers_agree_with_index_odometer_and_addr(
+            extents in proptest::collection::vec(1i64..8, 0..5),
+            group in 1usize..4,
+            split in 0usize..5,
+            pad in proptest::prop_oneof![
+                proptest::Just(0usize),
+                proptest::Just(64usize),
+                proptest::Just(20usize)
+            ],
+        ) {
+            let prog = same_shape_arrays(&extents, group);
+            let bind = ParamBinding::new(vec![]);
+            let layouts = [
+                DataLayout::column_major(&prog, &bind, pad),
+                interleaved(&extents, group, split, pad),
+            ];
+            let len = extents.iter().product::<i64>() as usize;
+            let mut logical: Vec<Vec<Vec<f64>>> = Vec::new();
+            for layout in layouts {
+                let mut m = Machine::with_layout(&prog, bind.clone(), layout.clone());
+                // init_memory: the same image as one `addr` per element.
+                let mut image = vec![0.0; m.mem.len()];
+                for (ai, al) in layout.arrays.iter().enumerate() {
+                    let slots = reference_slots(al);
+                    proptest::prop_assert_eq!(slots.len(), len);
+                    for (flat, &slot) in slots.iter().enumerate() {
+                        image[slot] = init_value(ai as u64, flat as u64);
+                    }
+                }
+                proptest::prop_assert_eq!(&m.mem, &image);
+                logical.push(
+                    (0..group).map(|ai| m.read_array(ArrayId::from_index(ai))).collect(),
+                );
+                for (ai, al) in layout.arrays.iter().enumerate() {
+                    let a = ArrayId::from_index(ai);
+                    let slots = reference_slots(al);
+                    // read_array and visit_array: logical order, first
+                    // dimension fastest.
+                    let want: Vec<f64> = slots.iter().map(|&s| m.mem[s]).collect();
+                    proptest::prop_assert_eq!(&m.read_array(a), &want);
+                    let mut seen = Vec::new();
+                    m.visit_array(a, |v| seen.push(v));
+                    proptest::prop_assert_eq!(&seen, &want);
+                    // write_array (slice) and write_array_from (every
+                    // second value of a longer slice) land where `addr` says
+                    // and touch nothing else.
+                    let vals: Vec<f64> = (0..2 * len).map(|k| (ai * 1000 + k) as f64).collect();
+                    m.write_array(a, &vals[..len]).unwrap();
+                    for (k, &s) in slots.iter().enumerate() {
+                        image[s] = vals[k];
+                    }
+                    proptest::prop_assert_eq!(&m.mem, &image);
+                    proptest::prop_assert_eq!(&m.read_array(a), &vals[..len]);
+                    m.write_array_from(a, vals.iter().skip(1).step_by(2).copied()).unwrap();
+                    for (k, &s) in slots.iter().enumerate() {
+                        image[s] = vals[1 + 2 * k];
+                    }
+                    proptest::prop_assert_eq!(&m.mem, &image);
+                    // A wrong length is still refused, before any write.
+                    let mismatch = GcrError::LayoutMismatch {
+                        array: format!("A{ai}"),
+                        expected: len,
+                        got: len + 1,
+                    };
+                    proptest::prop_assert_eq!(
+                        m.write_array(a, &vals[..len + 1]).unwrap_err(),
+                        mismatch.clone()
+                    );
+                    proptest::prop_assert_eq!(
+                        m.write_array_from(a, vals[..len + 1].iter().copied()).unwrap_err(),
+                        mismatch
+                    );
+                    proptest::prop_assert_eq!(&m.mem, &image);
+                }
+                let total: f64 = image_sum(&m, group);
+                proptest::prop_assert_eq!(m.checksum(), total);
+            }
+            // Two layouts of one program start from equal logical contents.
+            proptest::prop_assert_eq!(&logical[0], &logical[1]);
+        }
+    }
+
+    /// `checksum` by its old definition: per array the finite values of
+    /// `read_array` summed in order, then the per-array sums.
+    fn image_sum(m: &Machine<'_>, arrays: usize) -> f64 {
+        (0..arrays).map(|ai| m.read_array(ArrayId::from_index(ai)).into_iter().sum::<f64>()).sum()
     }
 }
