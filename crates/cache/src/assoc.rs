@@ -25,8 +25,9 @@
 //! `ways = capacity / line` there is a single set, and the cache **is**
 //! the fully-associative LRU simulator, byte for byte.
 
+use crate::replay::{replay, segments, Replay, Segment};
 use crate::sim::{Cache, CacheConfig};
-use gcr_exec::{AccessEvent, TraceSink};
+use gcr_exec::{AccessEvent, TraceBatch, TraceSink};
 
 /// Demand counters of one swept configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,13 +52,18 @@ pub struct AssocResult {
 pub struct AssocSweepSink {
     caches: Vec<Cache>,
     refs: u64,
+    segs: Vec<Segment>,
 }
 
 impl AssocSweepSink {
     /// A sweep over the given geometries (each validated by
     /// [`Cache::new`]).
     pub fn new(configs: &[CacheConfig]) -> Self {
-        AssocSweepSink { caches: configs.iter().map(|&c| Cache::new(c)).collect(), refs: 0 }
+        AssocSweepSink {
+            caches: configs.iter().map(|&c| Cache::new(c)).collect(),
+            refs: 0,
+            segs: Vec::new(),
+        }
     }
 
     /// References observed so far.
@@ -68,6 +74,17 @@ impl AssocSweepSink {
     /// Demand misses of configuration `i`, in registration order.
     pub fn misses(&self, i: usize) -> u64 {
         self.caches[i].misses
+    }
+
+    /// The batch path, with its segments at a line no larger than any
+    /// configuration's. Configuration-major: the caches are independent,
+    /// so each one replays the whole strip in stream order with its tag
+    /// arrays hot.
+    pub(crate) fn record_segments(&mut self, batch: &TraceBatch<'_>, segs: &[Segment]) {
+        self.refs += batch.len() as u64;
+        for c in &mut self.caches {
+            replay(c, batch, segs);
+        }
     }
 
     /// Counters of every configuration, in registration order.
@@ -93,17 +110,13 @@ impl TraceSink for AssocSweepSink {
         }
     }
 
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        // Configuration-major: the caches are independent, so each one
-        // sweeps the whole strip in stream order with its tag arrays hot.
-        self.refs += batch.len() as u64;
-        for c in &mut self.caches {
-            for k in 0..batch.iters as i64 {
-                for sl in batch.slots {
-                    c.access_rw(sl.addr_at(k), sl.is_write);
-                }
-            }
-        }
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+        // Lines nest, so segments at the narrowest line hold at every one.
+        let line = self.caches.iter().map(|c| c.config().line).min().unwrap_or(1);
+        let mut segs = std::mem::take(&mut self.segs);
+        segments(batch, line as u64, Cache::NEED, &mut segs);
+        self.record_segments(batch, &segs);
+        self.segs = segs;
     }
 }
 

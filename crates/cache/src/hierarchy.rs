@@ -5,8 +5,9 @@
 //! event counters).
 
 use crate::cost::CostModel;
+use crate::replay::{all_hit_segment, replay, segments, Replay, Segment};
 use crate::sim::{Cache, CacheConfig, Tlb};
-use gcr_exec::{AccessEvent, ExecStats, Machine, Tee, TraceSink};
+use gcr_exec::{AccessEvent, BatchSlot, ExecStats, Machine, Tee, TraceBatch, TraceSink};
 use gcr_ir::GcrError;
 
 /// Miss counters of one simulated run.
@@ -154,6 +155,42 @@ impl MemoryHierarchy {
         self.tlb.reset();
         self.counts = MissCounts::default();
     }
+
+    /// The segments of `batch` the replay rule may use: at the L1 line,
+    /// or the TLB page if that is smaller, so one line sequence is also
+    /// one page sequence.
+    fn replay_segments(&self, batch: &TraceBatch<'_>, out: &mut Vec<Segment>) {
+        let line = self.l1.config().line.min(self.tlb.page) as u64;
+        segments(batch, line, Self::NEED, out);
+    }
+}
+
+/// Rule (a) of [`crate::replay`]: L2 sees only L1 misses, so once an
+/// iteration repeats the previous line sequence with every L1 and TLB
+/// lookup a hit, every further iteration of the segment is pure hits.
+impl Replay for MemoryHierarchy {
+    const NEED: u32 = 3;
+
+    #[inline]
+    fn step(&mut self, addr: u64, is_write: bool) {
+        self.access_rw(addr, is_write);
+    }
+
+    #[inline(never)]
+    fn segment(&mut self, slots: &[BatchSlot], k: u32, r: u32) {
+        all_hit_segment(
+            self,
+            slots,
+            (k, r),
+            |h| h.l1.fits(slots, k) && h.tlb.fits(slots, k),
+            |h| h.counts.l1 + h.counts.tlb,
+            |h, n| {
+                h.counts.refs += n;
+                h.l1.hits += n;
+                h.tlb.add_hits(n);
+            },
+        );
+    }
 }
 
 /// `TraceSink` adapter: feed a [`MemoryHierarchy`] directly from the
@@ -161,12 +198,13 @@ impl MemoryHierarchy {
 pub struct HierarchySink {
     /// The simulated hierarchy.
     pub hierarchy: MemoryHierarchy,
+    segs: Vec<Segment>,
 }
 
 impl HierarchySink {
     /// Wraps a hierarchy.
     pub fn new(hierarchy: MemoryHierarchy) -> Self {
-        HierarchySink { hierarchy }
+        HierarchySink { hierarchy, segs: Vec::new() }
     }
 }
 
@@ -176,14 +214,10 @@ impl TraceSink for HierarchySink {
         self.hierarchy.access_rw(ev.addr, ev.is_write);
     }
 
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        // The hierarchy is boundary-blind: one tight affine expansion
-        // loop per strip, in stream order.
-        for k in 0..batch.iters as i64 {
-            for sl in batch.slots {
-                self.hierarchy.access_rw(sl.addr_at(k), sl.is_write);
-            }
-        }
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+        // The hierarchy is boundary-blind.
+        self.hierarchy.replay_segments(batch, &mut self.segs);
+        replay(&mut self.hierarchy, batch, &self.segs);
     }
 }
 
@@ -222,6 +256,7 @@ pub struct PhasedHierarchySink {
     per_phase: Vec<MissCounts>,
     current: Option<usize>,
     mark: MissCounts,
+    segs: Vec<Segment>,
 }
 
 impl PhasedHierarchySink {
@@ -235,6 +270,7 @@ impl PhasedHierarchySink {
             labels,
             current: None,
             mark: MissCounts::default(),
+            segs: Vec::new(),
         }
     }
 
@@ -266,10 +302,23 @@ impl TraceSink for PhasedHierarchySink {
         self.hierarchy.access_rw(ev.addr, ev.is_write);
     }
 
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        // Attribution only depends on each event's phase, in stream order;
-        // each slot's phase is loop-invariant, so within a strip the check
-        // reduces to a predictable compare per event.
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+        // Attribution only depends on each event's phase, in stream order,
+        // and each slot's phase is loop-invariant. A strip within one phase
+        // switches at most once, up front, and then replays like the
+        // unphased sink; otherwise the check is a predictable compare per
+        // event.
+        let phase_of = |sl: &BatchSlot| self.phase_of.get(sl.stmt.index()).copied().unwrap_or(0);
+        if let Some(phase) = batch.slots.first().map(phase_of) {
+            if batch.slots.iter().all(|sl| phase_of(sl) == phase) {
+                if self.current != Some(phase) {
+                    self.flush();
+                    self.current = Some(phase);
+                }
+                self.hierarchy.replay_segments(batch, &mut self.segs);
+                return replay(&mut self.hierarchy, batch, &self.segs);
+            }
+        }
         for k in 0..batch.iters as i64 {
             for sl in batch.slots {
                 let phase = self.phase_of.get(sl.stmt.index()).copied().unwrap_or(0);

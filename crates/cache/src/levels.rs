@@ -39,8 +39,9 @@
 //! platform and thread count.
 
 use crate::lru::LruSlab;
+use crate::replay::{all_hit_segment, replay, segments, Replay, Segment};
 use crate::sim::{Cache, CacheConfig, Victim};
-use gcr_exec::{AccessEvent, TraceSink};
+use gcr_exec::{AccessEvent, BatchSlot, TraceBatch, TraceSink};
 
 /// Ways per set up to which a level is a [`Cache`]: an MRU-ordered vector
 /// that a lookup scans. 64 is the widest geometry the scan is known to
@@ -79,6 +80,14 @@ impl Level {
         match self {
             Level::Narrow(c) => c.contains(addr),
             Level::Wide(c) => c.contains(addr),
+        }
+    }
+
+    #[inline]
+    fn promote(&mut self, addr: u64, dirty: bool) -> bool {
+        match self {
+            Level::Narrow(c) => c.promote(addr, dirty),
+            Level::Wide(c) => c.promote(addr, dirty),
         }
     }
 
@@ -156,13 +165,23 @@ impl WideCache {
         self.lru.find(set, block).is_some()
     }
 
-    fn fill(&mut self, addr: u64, dirty: bool) -> Victim {
+    fn promote(&mut self, addr: u64, dirty: bool) -> bool {
         let (block, set) = self.locate(addr);
-        if let Some(i) = self.lru.find(set, block) {
-            self.lru.move_to_front(set, i);
-            self.lru.set_tag(i, self.lru.tag(i) | dirty as u32);
+        match self.lru.find(set, block) {
+            Some(i) => {
+                self.lru.move_to_front(set, i);
+                self.lru.set_tag(i, self.lru.tag(i) | dirty as u32);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn fill(&mut self, addr: u64, dirty: bool) -> Victim {
+        if self.promote(addr, dirty) {
             return None;
         }
+        let (block, set) = self.locate(addr);
         if self.len[set as usize] < self.cfg.assoc {
             self.len[set as usize] += 1;
             self.lru.insert_front(set, block, dirty as u32);
@@ -370,9 +389,14 @@ impl MultiLevelCache {
     }
 
     fn access_inclusive(&mut self, addr: u64, is_write: bool) {
+        // 1. An L1 hit is one probe: the line is promoted where it is found.
+        if self.levels[0].promote(addr, is_write) {
+            self.counts[0].hits += 1;
+            return;
+        }
+        // 2. Otherwise find the first lower level that holds the line.
         let n = self.levels.len();
-        // 1. Find the first level that holds the line.
-        let hit = (0..n).find(|&k| self.levels[k].contains(addr));
+        let hit = (1..n).find(|&k| self.levels[k].contains(addr));
         for k in 0..hit.unwrap_or(n) {
             self.counts[k].misses += 1;
         }
@@ -380,7 +404,7 @@ impl MultiLevelCache {
             Some(h) => self.counts[h].hits += 1,
             None => self.memory_fills += 1,
         }
-        // 2. Fill every level from the hit (or memory) upward, deepest
+        // 3. Fill every level from the hit (or memory) upward, deepest
         // first so victim cascades complete before the level above fills.
         let deepest = hit.unwrap_or(n - 1);
         for k in (0..=deepest).rev() {
@@ -389,9 +413,7 @@ impl MultiLevelCache {
                 self.evict_inclusive(k, v);
             }
         }
-        if hit != Some(0) {
-            self.issue_prefetch(addr);
-        }
+        self.issue_prefetch(addr);
     }
 
     /// Handles a line leaving inclusive level `k`: back-invalidate the
@@ -421,9 +443,8 @@ impl MultiLevelCache {
     /// *transfer* — the stat-neutral [`Cache`] primitives model it and the
     /// demand counters are kept here.
     fn access_exclusive(&mut self, addr: u64, is_write: bool) {
-        if self.levels[0].contains(addr) {
+        if self.levels[0].promote(addr, is_write) {
             self.counts[0].hits += 1;
-            self.levels[0].fill(addr, is_write); // promote + dirty
             return;
         }
         self.counts[0].misses += 1;
@@ -479,17 +500,47 @@ impl MultiLevelCache {
     }
 }
 
+/// Rule (a) of [`crate::replay`]: an L1 hit touches no lower level and
+/// fires no prefetch, so once an iteration repeats the previous line
+/// sequence without an L1 miss the whole hierarchy is at a fixed point and
+/// every further iteration of the segment is pure L1 hits.
+impl Replay for MultiLevelCache {
+    const NEED: u32 = 2;
+
+    #[inline]
+    fn step(&mut self, addr: u64, is_write: bool) {
+        self.access_rw(addr, is_write);
+    }
+
+    #[inline(never)]
+    fn segment(&mut self, slots: &[BatchSlot], k: u32, r: u32) {
+        all_hit_segment(
+            self,
+            slots,
+            (k, r),
+            // Back-invalidation and prefetch can evict a line that fits.
+            |_| false,
+            |m| m.counts[0].misses,
+            |m, n| {
+                m.refs += n;
+                m.counts[0].hits += n;
+            },
+        );
+    }
+}
+
 /// [`TraceSink`] feeding one [`MultiLevelCache`], with a native batch
 /// path (iteration-major, matching the per-event stream order exactly).
 pub struct MultiLevelSink {
     /// The simulated hierarchy.
     pub model: MultiLevelCache,
+    segs: Vec<Segment>,
 }
 
 impl MultiLevelSink {
     /// Wraps the given hierarchy.
     pub fn new(model: MultiLevelCache) -> Self {
-        MultiLevelSink { model }
+        MultiLevelSink { model, segs: Vec::new() }
     }
 }
 
@@ -499,15 +550,12 @@ impl TraceSink for MultiLevelSink {
         self.model.access_rw(ev.addr, ev.is_write);
     }
 
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
         // One hierarchy: iteration-major is the stream order. (A
         // hierarchy's state is order-sensitive, so unlike the fan-out
         // sinks there is no configuration-major freedom here.)
-        for k in 0..batch.iters as i64 {
-            for sl in batch.slots {
-                self.model.access_rw(sl.addr_at(k), sl.is_write);
-            }
-        }
+        segments(batch, self.model.config(0).line as u64, MultiLevelCache::NEED, &mut self.segs);
+        replay(&mut self.model, batch, &self.segs);
     }
 }
 
@@ -516,12 +564,13 @@ impl TraceSink for MultiLevelSink {
 pub struct MultiLevelSweepSink {
     /// The simulated hierarchies, in registration order.
     pub models: Vec<MultiLevelCache>,
+    segs: Vec<Segment>,
 }
 
 impl MultiLevelSweepSink {
     /// Wraps the given hierarchies.
     pub fn new(models: Vec<MultiLevelCache>) -> Self {
-        MultiLevelSweepSink { models }
+        MultiLevelSweepSink { models, segs: Vec::new() }
     }
 
     /// Totals per hierarchy, in registration order.
@@ -538,14 +587,13 @@ impl TraceSink for MultiLevelSweepSink {
         }
     }
 
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        // Model-major: each hierarchy is independent.
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+        // Model-major: each hierarchy is independent. Lines nest, so
+        // segments at the narrowest L1 line hold for every model.
+        let line = self.models.iter().map(|m| m.config(0).line).min().unwrap_or(1);
+        segments(batch, line as u64, MultiLevelCache::NEED, &mut self.segs);
         for m in &mut self.models {
-            for k in 0..batch.iters as i64 {
-                for sl in batch.slots {
-                    m.access_rw(sl.addr_at(k), sl.is_write);
-                }
-            }
+            replay(m, batch, &self.segs);
         }
     }
 }

@@ -43,6 +43,7 @@ pub mod hierarchy;
 pub mod levels;
 mod lru;
 pub mod multicap;
+mod replay;
 pub mod sim;
 pub mod spec;
 

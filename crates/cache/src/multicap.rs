@@ -19,7 +19,8 @@
 //! set-associative and multi-level fan-outs.)
 
 use crate::lru::{LruSlab, NIL};
-use gcr_exec::{AccessEvent, TraceSink};
+use crate::replay::{iterate, replay, segments, Replay, Segment};
+use gcr_exec::{AccessEvent, BatchSlot, TraceBatch, TraceSink};
 
 /// Exact miss counts of every fully-associative LRU capacity in one trace
 /// pass.
@@ -55,6 +56,9 @@ pub struct CapacitySweepSink {
     len: u64,
     line: u64,
     refs: u64,
+    /// `by_class` before a segment's second iteration.
+    before: Vec<u64>,
+    segs: Vec<Segment>,
 }
 
 /// The sweep's single list in its [`LruSlab`].
@@ -85,6 +89,8 @@ impl CapacitySweepSink {
             len: 0,
             line,
             refs: 0,
+            before: Vec::new(),
+            segs: Vec::new(),
         }
     }
 
@@ -111,8 +117,15 @@ impl CapacitySweepSink {
         self.caps.iter().map(|&lines| (lines * self.line, self.misses(lines * self.line))).collect()
     }
 
+    /// The batch path, with its segments at a line no larger than the
+    /// sweep's (depths ignore instance boundaries and the write flag).
+    pub(crate) fn record_segments(&mut self, batch: &TraceBatch<'_>, segs: &[Segment]) {
+        self.refs += batch.len() as u64;
+        replay(self, batch, segs);
+    }
+
     /// One access to line number `line`.
-    #[inline]
+    #[inline(always)]
     fn touch(&mut self, line: u64) {
         if self.lru.head_is(LIST, line) {
             self.by_class[0] += 1;
@@ -202,16 +215,33 @@ impl TraceSink for CapacitySweepSink {
         self.touch(ev.addr >> self.line.trailing_zeros());
     }
 
-    fn record_batch(&mut self, batch: &gcr_exec::TraceBatch<'_>) {
-        // Depths ignore instance boundaries and the write flag; one
-        // affine expansion loop in stream order amortizes the virtual
-        // call across the whole strip.
-        self.refs += batch.len() as u64;
-        let shift = self.line.trailing_zeros();
-        for k in 0..batch.iters as i64 {
-            for sl in batch.slots {
-                self.touch(sl.addr_at(k) >> shift);
-            }
+    fn record_batch(&mut self, batch: &TraceBatch<'_>) {
+        let mut segs = std::mem::take(&mut self.segs);
+        segments(batch, self.line, Self::NEED, &mut segs);
+        self.record_segments(batch, &segs);
+        self.segs = segs;
+    }
+}
+
+/// Rule (c) of [`crate::replay`]: after two iterations on the same line
+/// sequence the list, its markers and regions are what they were after the
+/// first, so every further iteration repeats the second one's classes.
+impl Replay for CapacitySweepSink {
+    const NEED: u32 = 2;
+
+    #[inline(always)]
+    fn step(&mut self, addr: u64, _is_write: bool) {
+        self.touch(addr >> self.line.trailing_zeros());
+    }
+
+    #[inline(never)]
+    fn segment(&mut self, slots: &[BatchSlot], k: u32, r: u32) {
+        iterate(self, slots, k..k + 1);
+        self.before.clone_from(&self.by_class);
+        iterate(self, slots, k + 1..k + 2);
+        let more = (r - 1) as u64;
+        for (c, &b) in self.by_class.iter_mut().zip(&self.before) {
+            *c += (*c - b) * more;
         }
     }
 }

@@ -1,5 +1,8 @@
 //! Set-associative LRU cache and TLB simulators.
 
+use crate::replay::{iterate, Replay};
+use gcr_exec::BatchSlot;
+
 /// Geometry of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -162,15 +165,13 @@ impl Cache {
     /// decides what traffic the victim represents (nothing is added to
     /// [`Cache::writebacks`]).
     pub fn fill(&mut self, addr: u64, dirty: bool) -> Victim {
+        if self.promote(addr, dirty) {
+            return None;
+        }
         let block = addr >> self.line_shift;
         let set_idx = (block & self.set_mask) as usize;
         let set = &mut self.sets[set_idx];
         let tag = block >> self.set_mask.count_ones();
-        if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
-            set[..=pos].rotate_right(1);
-            set[0].1 |= dirty;
-            return None;
-        }
         let mut victim = None;
         if set.len() == self.cfg.assoc {
             if let Some((vtag, vdirty)) = set.pop() {
@@ -182,6 +183,48 @@ impl Cache {
         }
         set.insert(0, (tag, dirty));
         victim
+    }
+
+    /// Promotes the line holding `addr` to MRU position and OR-s `dirty`
+    /// into it if resident; returns whether it was. Counts nothing — the
+    /// one probe behind a demand hit in the multi-level models and the
+    /// resident case of [`Cache::fill`].
+    #[inline]
+    pub(crate) fn promote(&mut self, addr: u64, dirty: bool) -> bool {
+        let block = addr >> self.line_shift;
+        let set = &mut self.sets[(block & self.set_mask) as usize];
+        let tag = block >> self.set_mask.count_ones();
+        match set.iter().position(|&(t, _)| t == tag) {
+            Some(pos) => {
+                set[..=pos].rotate_right(1);
+                set[0].1 |= dirty;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// True when no set receives more than `assoc` distinct lines of
+    /// iteration `k`. Then iteration `k`, from any state, leaves all of
+    /// them resident with every write's dirty bit set, and each later
+    /// iteration on the same lines is pure hits that change nothing.
+    /// (Conservatively false past 16 distinct lines.)
+    pub(crate) fn fits(&self, slots: &[BatchSlot], k: u32) -> bool {
+        let mut lines = [0u64; 16];
+        let mut n = 0;
+        for sl in slots {
+            let l = sl.addr_at(k as i64) >> self.line_shift;
+            if !lines[..n].contains(&l) {
+                if n == lines.len() {
+                    return false;
+                }
+                lines[n] = l;
+                n += 1;
+            }
+        }
+        let lines = &lines[..n];
+        let in_set = |a: u64| lines.iter().filter(|&&b| (a ^ b) & self.set_mask == 0).count();
+        n <= self.cfg.assoc || lines.iter().all(|&a| in_set(a) <= self.cfg.assoc)
     }
 
     /// Removes the line holding `addr` if resident, returning its dirty
@@ -258,6 +301,36 @@ impl Cache {
     }
 }
 
+/// Rule (b) of [`crate::replay`]: once two iterations have touched the same
+/// line sequence, the tags and recency order repeat after every further
+/// one, and the dirty bits one iteration later, so from the third
+/// iteration of a segment on each repeats its predecessor's counts. When
+/// the first iteration's lines [`Cache::fits`], every later one is hits.
+impl Replay for Cache {
+    const NEED: u32 = 2;
+
+    #[inline(always)]
+    fn step(&mut self, addr: u64, is_write: bool) {
+        self.access_rw(addr, is_write);
+    }
+
+    #[inline(never)]
+    fn segment(&mut self, slots: &[BatchSlot], k: u32, r: u32) {
+        iterate(self, slots, k..k + 1);
+        if self.fits(slots, k) {
+            self.hits += r as u64 * slots.len() as u64;
+            return;
+        }
+        iterate(self, slots, k + 1..k + 2);
+        let before = (self.hits, self.misses, self.writebacks);
+        iterate(self, slots, k + 2..k + 3);
+        let more = (r - 2) as u64;
+        self.hits += (self.hits - before.0) * more;
+        self.misses += (self.misses - before.1) * more;
+        self.writebacks += (self.writebacks - before.2) * more;
+    }
+}
+
 /// A fully associative LRU TLB.
 #[derive(Clone, Debug)]
 pub struct Tlb {
@@ -300,6 +373,16 @@ impl Tlb {
     /// Hit count.
     pub fn hits(&self) -> u64 {
         self.inner.hits
+    }
+
+    /// Counts `n` hits that replay proved without simulating them.
+    pub(crate) fn add_hits(&mut self, n: u64) {
+        self.inner.hits += n;
+    }
+
+    /// [`Cache::fits`] for pages.
+    pub(crate) fn fits(&self, slots: &[BatchSlot], k: u32) -> bool {
+        self.inner.fits(slots, k)
     }
 
     /// Clears contents and counters.

@@ -25,7 +25,8 @@
 
 use crate::levels::{Inclusion, MultiLevelCache, MultiLevelCounts, MultiLevelSink, Prefetch};
 use crate::multicap::CapacitySweepSink;
-use crate::sim::CacheConfig;
+use crate::replay::{replay, segments, Replay, Segment};
+use crate::sim::{Cache, CacheConfig};
 use crate::AssocSweepSink;
 use gcr_exec::{AccessEvent, DataLayout, ExecEngine, Machine, TraceBatch, TraceSink};
 use gcr_ir::{GcrError, ParamBinding, Program};
@@ -233,6 +234,7 @@ pub struct HierarchyRunSink {
     model: MultiLevelSink,
     fa: CapacitySweepSink,
     sa: AssocSweepSink,
+    segs: Vec<Segment>,
 }
 
 impl HierarchyRunSink {
@@ -248,6 +250,7 @@ impl HierarchyRunSink {
             sa: AssocSweepSink::new(&four_way),
             spec: spec.clone(),
             caps,
+            segs: Vec::new(),
         }
     }
 
@@ -284,9 +287,13 @@ impl TraceSink for HierarchyRunSink {
     }
 
     fn record_batch(&mut self, batch: &TraceBatch<'_>) {
-        self.model.record_batch(batch);
-        self.fa.record_batch(batch);
-        self.sa.record_batch(batch);
+        // All three key on L1's line: one segment list serves them all,
+        // each skipping the segments too short for its own rule.
+        let need = MultiLevelCache::NEED.min(CapacitySweepSink::NEED).min(Cache::NEED);
+        segments(batch, self.spec.levels[0].line as u64, need, &mut self.segs);
+        replay(&mut self.model.model, batch, &self.segs);
+        self.fa.record_segments(batch, &self.segs);
+        self.sa.record_segments(batch, &self.segs);
     }
 }
 

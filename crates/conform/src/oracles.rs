@@ -13,11 +13,11 @@
 //! | [`Oracle::Profile`]  | reuse profiles are internally consistent | histogram masses |
 //! | [`Oracle::Bound`]    | fused reuse distances are `O(k·m)`, size-independent | max exact distance at two sizes |
 //! | [`Oracle::Static`]   | analytic miss model ≡ trace simulation at unseen sizes | miss counts per capacity and array, by construct class |
-//! | [`Oracle::Assoc`]    | single-set set-associative ≡ fully-associative sweep ≡ single-level `fa` hierarchy; per-set stack inclusion | exact miss counts |
+//! | [`Oracle::Assoc`]    | single-set set-associative ≡ fully-associative sweep ≡ single-level `fa` hierarchy; per-set stack inclusion; VM batches ≡ interpreter events at N = 12 and 40 | exact miss counts; every set-associative, FA and two-level counter |
 
 use gcr_cache::{
-    Cache, CacheConfig, CapacitySweepSink, Inclusion, MultiLevelCache, MultiLevelSweepSink,
-    Prefetch,
+    AssocResult, AssocSweepSink, Cache, CacheConfig, CapacitySweepSink, Inclusion, MultiLevelCache,
+    MultiLevelCounts, MultiLevelSink, MultiLevelSweepSink, Prefetch,
 };
 use gcr_core::checked::{optimize_checked, Pass, SafetyOptions};
 use gcr_core::OptimizeOptions;
@@ -780,6 +780,17 @@ fn static_parity(prog: &Program) -> Result<(), String> {
 
 // ---------------------------------------------------------------- oracle 7
 
+/// Everything one run of oracle 7 measures, compared whole across the
+/// engines.
+#[derive(Debug, PartialEq)]
+struct AssocRun {
+    fa_refs: u64,
+    fa: Vec<(u64, u64)>,
+    sa: Vec<AssocResult>,
+    single_level: Vec<MultiLevelCounts>,
+    two_level: MultiLevelCounts,
+}
+
 /// Oracle 7, engine-parameterized so the corpus replay can pin both
 /// engines explicitly. Two laws of the exact set-associative simulator
 /// (see DESIGN.md §16 for why monotonicity pins the *set count*):
@@ -791,8 +802,14 @@ fn static_parity(prog: &Program) -> Result<(), String> {
 ///    past 64 ways is a third implementation of the same stack.
 /// 2. **Way monotonicity at fixed set count** — growing the ways at a
 ///    fixed set count never adds misses (per-set LRU stack inclusion).
+///
+/// Both hold on the `engine` run at N = 12 and at N = 40, where strips
+/// are long enough for the batch paths' whole-iteration replay to skip
+/// work. At each size the run is also held, counter for counter (every
+/// configuration's [`AssocResult`], the FA sweep, and a two-level
+/// inclusive [`MultiLevelSink`]), to the same run under the other engine:
+/// the VM's batches against the interpreter's single events.
 pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
-    let binding = ParamBinding::new(vec![12; prog.params.len()]);
     let mut rng = crate::rng::Rng::new(
         0x5e7a_550c
             ^ prog.body.len() as u64
@@ -818,50 +835,84 @@ pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
         line: line as usize,
         assoc: w,
     }));
+    // A 2-way L1 over a 4-way L2 of twice the line.
+    let (l1, l2) = (sets * 2 * line as usize, 2 * line as usize);
+    let two_level = [
+        CacheConfig { size: l1, line: line as usize, assoc: 2 },
+        CacheConfig { size: 8 * l1, line: l2, assoc: 4 },
+    ];
 
-    // One pass feeds all three models, batches included (the VM emits strips).
-    let mut fa = CapacitySweepSink::new(line, &caps);
-    let mut sa = gcr_cache::AssocSweepSink::new(&configs);
-    let mut ml = MultiLevelSweepSink::new(
-        configs[..ladder_at]
-            .iter()
-            .map(|&c| MultiLevelCache::new(&[c], Inclusion::Inclusive, Prefetch::None))
-            .collect(),
-    );
-    let mut sweeps = gcr_exec::Tee { a: &mut fa, b: &mut sa };
-    let mut m = Machine::new(prog, binding).with_engine(engine);
-    m.run_steps_guarded(&mut gcr_exec::Tee { a: &mut sweeps, b: &mut ml }, 2, FUEL)
-        .map_err(|e| format!("run failed: {e}"))?;
-    let ml = ml.counts();
-
-    if fa.refs() != sa.refs() {
-        return Err(format!(
-            "FA sweep saw {} refs, set-associative sweep {}",
-            fa.refs(),
-            sa.refs()
-        ));
-    }
-    for (i, &cap) in caps.iter().enumerate() {
-        let (fa_misses, sa_misses) = (fa.misses(cap), sa.misses(i));
-        let ml_misses = ml[i].levels[0].misses;
-        if fa_misses != sa_misses || fa_misses != ml_misses {
-            return Err(format!(
-                "single set of {} lines (line {line}): set-associative {sa_misses} misses, \
-                 FA sweep {fa_misses}, single-level hierarchy {ml_misses}",
-                cap / line
+    let other = match engine {
+        ExecEngine::Vm => ExecEngine::Interp,
+        ExecEngine::Interp => ExecEngine::Vm,
+    };
+    for n in [12, 40] {
+        let run = |engine: ExecEngine| -> Result<AssocRun, String> {
+            // One pass feeds every model, batches included (the VM emits
+            // strips).
+            let mut fa = CapacitySweepSink::new(line, &caps);
+            let mut sa = AssocSweepSink::new(&configs);
+            let mut ml = MultiLevelSweepSink::new(
+                configs[..ladder_at]
+                    .iter()
+                    .map(|&c| MultiLevelCache::new(&[c], Inclusion::Inclusive, Prefetch::None))
+                    .collect(),
+            );
+            let mut two = MultiLevelSink::new(MultiLevelCache::new(
+                &two_level,
+                Inclusion::Inclusive,
+                Prefetch::None,
             ));
+            let mut sweeps = gcr_exec::Tee { a: &mut fa, b: &mut sa };
+            let mut models = gcr_exec::Tee { a: &mut ml, b: &mut two };
+            let mut m = Machine::new(prog, ParamBinding::new(vec![n; prog.params.len()]))
+                .with_engine(engine);
+            m.run_steps_guarded(&mut gcr_exec::Tee { a: &mut sweeps, b: &mut models }, 2, FUEL)
+                .map_err(|e| format!("N={n} run failed under {engine:?}: {e}"))?;
+            if fa.refs() != sa.refs() {
+                return Err(format!(
+                    "N={n}: FA sweep saw {} refs, set-associative sweep {}",
+                    fa.refs(),
+                    sa.refs()
+                ));
+            }
+            Ok(AssocRun {
+                fa_refs: fa.refs(),
+                fa: fa.miss_counts(),
+                sa: sa.results(),
+                single_level: ml.counts(),
+                two_level: two.model.counts(),
+            })
+        };
+        let here = run(engine)?;
+        for (i, &cap) in caps.iter().enumerate() {
+            let (fa_misses, sa_misses) = (here.fa[i].1, here.sa[i].misses);
+            let ml_misses = here.single_level[i].levels[0].misses;
+            if fa_misses != sa_misses || fa_misses != ml_misses {
+                return Err(format!(
+                    "N={n}: single set of {} lines (line {line}): set-associative {sa_misses} \
+                     misses, FA sweep {fa_misses}, single-level hierarchy {ml_misses}",
+                    cap / line
+                ));
+            }
         }
-    }
-    let ladder: Vec<u64> = (ladder_at..configs.len()).map(|i| sa.misses(i)).collect();
-    for (w, pair) in ladder.windows(2).enumerate() {
-        if pair[1] > pair[0] {
+        let ladder: Vec<u64> = here.sa[ladder_at..].iter().map(|r| r.misses).collect();
+        for (w, pair) in ladder.windows(2).enumerate() {
+            if pair[1] > pair[0] {
+                return Err(format!(
+                    "N={n}: way monotonicity violated at {sets} sets: {} misses with {} ways > \
+                     {} misses with {} ways",
+                    pair[1],
+                    w + 2,
+                    pair[0],
+                    w + 1
+                ));
+            }
+        }
+        let there = run(other)?;
+        if here != there {
             return Err(format!(
-                "way monotonicity violated at {sets} sets: {} misses with {} ways > \
-                 {} misses with {} ways",
-                pair[1],
-                w + 2,
-                pair[0],
-                w + 1
+                "N={n}: {engine:?} and {other:?} runs measure differently:\n{here:?}\nvs\n{there:?}"
             ));
         }
     }
