@@ -128,8 +128,8 @@ fn bench_exec_engines(c: &mut Criterion) {
     g.finish();
 }
 
-/// A superinstruction-heavy workload (`examples/mmul.loop`: triple-nested
-/// inner product, one fused load-load-mul-reduce opcode per iteration)
+/// A reduction-heavy workload (`examples/mmul.loop`: triple-nested inner
+/// product, one `Read, ReadMul` tape and a sum store per iteration)
 /// under full trace capture: the dispatch-per-event interpreter against
 /// the VM's batched strips.
 fn bench_mmul_capture(c: &mut Criterion) {

@@ -154,7 +154,7 @@ options:
   --fuel <N>         interpreter step budget for semantic checks and
                      --simulate (terminates runaway programs)
   --exec <engine>    execution engine for measurement runs: vm (default;
-                     register bytecode VM with superinstructions and
+                     register bytecode VM over the compiled op tape with
                      strip execution) or interp (the reference
                      tree-walking interpreter); overrides GCR_EXEC
 ";

@@ -7,7 +7,7 @@
 //!
 //! | oracle | invariant | compared artifacts |
 //! |--------|-----------|--------------------|
-//! | [`Oracle::Engine`]   | interpreter ≡ bytecode VM, on the source and on its `fuse+group` output | event stream, stats, f64 bits, fuel |
+//! | [`Oracle::Engine`]   | interpreter ≡ bytecode VM, on the source and on its `fuse+group` output | event stream, stats, f64 bits (any NaN equals any NaN), fuel |
 //! | [`Oracle::Optimize`] | `optimize_checked` preserves semantics on every ladder rung | final array contents vs original |
 //! | [`Oracle::Sweep`]    | single-pass sweep (per event and batched) ≡ per-capacity LRU; inclusion property | exact miss counts |
 //! | [`Oracle::Profile`]  | reuse profiles are internally consistent | histogram masses |
@@ -19,9 +19,9 @@ use gcr_cache::{
     AssocResult, AssocSweepSink, Cache, CacheConfig, CapacitySweepSink, Inclusion, MultiLevelCache,
     MultiLevelCounts, MultiLevelSink, MultiLevelSweepSink, Prefetch,
 };
-use gcr_core::checked::{optimize_checked, Pass, SafetyOptions};
+use gcr_core::checked::{optimize_checked, values_match, Pass, SafetyOptions};
 use gcr_core::OptimizeOptions;
-use gcr_exec::{AccessEvent, DataLayout, ExecEngine, Machine, TraceSink};
+use gcr_exec::{canonical_bits, AccessEvent, DataLayout, ExecEngine, Machine, TraceSink};
 use gcr_ir::{ParamBinding, Program, StmtId};
 use gcr_reuse::{Histogram, ProfileSink, ReuseDistanceAnalyzer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -164,9 +164,10 @@ fn run_engine(
     let mut m = Machine::with_layout(prog, binding.clone(), layout.clone()).with_engine(engine);
     let mut cap = Cap::default();
     let outcome = m.run_steps_guarded(&mut cap, steps, fuel).map_err(|e| e.to_string());
+    // Bit identity holds on non-NaN values; any NaN equals any NaN.
     let mem = (0..prog.arrays.len())
         .map(|i| {
-            m.read_array(gcr_ir::ArrayId::from_index(i)).into_iter().map(f64::to_bits).collect()
+            m.read_array(gcr_ir::ArrayId::from_index(i)).into_iter().map(canonical_bits).collect()
         })
         .collect();
     Run { events: cap.0, stats: m.stats(), mem, outcome }
@@ -174,11 +175,12 @@ fn run_engine(
 
 /// Oracle 1: the register bytecode VM must be observationally identical
 /// to the interpreter — same event stream (accesses *and* instance
-/// boundaries, in order), same statistics, bit-identical `f64` memory, and
-/// the same fuel-exhaustion behaviour — under several layouts, on the
-/// program as generated and on what `fuse+group` makes of it: fused bodies
-/// put every statement under outer conditions, which is the shape the VM's
-/// masked strips exist for and which no generated source has by itself.
+/// boundaries, in order), same statistics, bit-identical `f64` memory up to
+/// NaN sign and payload ([`canonical_bits`]), and the same fuel-exhaustion
+/// behaviour — under several layouts, on the program as generated and on
+/// what `fuse+group` makes of it: fused bodies put every statement under
+/// outer conditions, which is the shape the VM's masked strips exist for
+/// and which no generated source has by itself.
 fn engine_diff(prog: &Program) -> Result<(), String> {
     let n = 12;
     let binding = ParamBinding::new(vec![n; prog.params.len()]);
@@ -286,12 +288,6 @@ fn compare_runs(label: &str, steps: usize, a: &Run, b: &Run) -> Result<(), Strin
 }
 
 // ---------------------------------------------------------------- oracle 2
-
-/// Elementwise comparison with the pipeline's own tolerance, extended with
-/// bit equality so identically-produced non-finite values do not trip it.
-fn close(x: f64, y: f64) -> bool {
-    x.to_bits() == y.to_bits() || (x - y).abs() <= 1e-9 * x.abs().max(1.0)
-}
 
 /// Oracle 2: every rung of the degradation ladder must deliver a program
 /// that computes the same array contents as the original — verified
@@ -435,7 +431,7 @@ fn compare_arrays(
         ));
     }
     for (i, (&x, &y)) in want.iter().zip(got).enumerate() {
-        if !close(x, y) {
+        if !values_match(x, y) {
             return Err(format!(
                 "array {name}[{i}] diverged: {x} vs {y} (strategy {strategy}, fault {fault:?})"
             ));

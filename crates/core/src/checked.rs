@@ -236,10 +236,21 @@ struct Checker<'p> {
 // panics.
 use gcr_par::isolate::{panic_msg, quiet_panics};
 
+/// The oracle's element test: `got` matches the reference value `want`
+/// when the two are bit-equal, both NaN, or within a relative tolerance
+/// of `1e-9` (reductions inside one loop keep their order, so everything
+/// else must match almost exactly). The first two cases cover what the
+/// tolerance cannot: `inf − inf` is NaN, and NaN compares false with
+/// everything, its own bits included when the sign or payload differ.
+pub fn values_match(want: f64, got: f64) -> bool {
+    want.to_bits() == got.to_bits()
+        || (want.is_nan() && got.is_nan())
+        || (want - got).abs() <= 1e-9 * want.abs().max(1.0)
+}
+
 /// Elementwise comparison of array `got` of `m`, read in place in logical
-/// order, against the reference values `want`, with a relative tolerance
-/// (reductions inside one loop keep their order, so everything else must
-/// match almost exactly). `array` names the array in the error.
+/// order, against the reference values `want` under [`values_match`].
+/// `array` names the array in the error.
 fn compare(
     stage: &str,
     array: impl FnOnce() -> String,
@@ -260,8 +271,7 @@ fn compare(
     let mut first_bad = None;
     m.visit_array(got, |y| {
         let (i, x) = want.next().expect("lengths compared above");
-        let ok = (x - y).abs() <= 1e-9 * x.abs().max(1.0);
-        if !ok && first_bad.is_none() {
+        if !values_match(x, y) && first_bad.is_none() {
             first_bad = Some((i, x, y));
         }
     });

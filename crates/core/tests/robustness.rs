@@ -255,6 +255,34 @@ fn original_strategy_builds_no_oracle() {
 }
 
 #[test]
+fn infinite_values_do_not_trip_the_oracle() {
+    // The first loop overflows to `inf` by its second iteration. Every
+    // pass reproduces those infinities exactly, and `inf − inf` is NaN, so
+    // a tolerance alone would reject even a pass that changed nothing.
+    let prog = parse(
+        "
+program overflow
+param N
+array A[N], B[N], C[N]
+
+for i = 2, N {
+  A[i] = A[i-1] * 1e300 + 1e300
+}
+for i = 1, N {
+  B[i] = A[i] + C[i]
+}
+for i = 1, N {
+  C[i] = B[i] * 0.5
+}
+",
+    )
+    .unwrap();
+    let opt = apply_strategy_checked(&prog, FULL, &SafetyOptions::default()).unwrap();
+    assert!(!opt.robustness.degraded(), "{:?}", opt.robustness.describe());
+    assert_eq!(opt.robustness.strategy, "fuse3+group");
+}
+
+#[test]
 fn regroup_fault_is_caught_under_the_regrouped_layout() {
     // Two arrays always accessed together, so regrouping interleaves them:
     // the checkpoint that must catch the fault reads every array in place

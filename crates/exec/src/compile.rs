@@ -317,7 +317,7 @@ impl Lower<'_> {
     }
 
     /// Fuses a binary op whose right operand is a leaf into a single
-    /// superinstruction (`regs[d] op= leaf`), skipping the spill to
+    /// op (`regs[d] op= leaf`), skipping the spill to
     /// `regs[d+1]`. The arithmetic is the identical operation in the
     /// identical order — only the dispatch count changes. Returns whether
     /// it fused; when not, the caller lowers the operand normally.

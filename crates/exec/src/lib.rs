@@ -22,10 +22,10 @@
 //! runs over the tape of [`mod@compile`]/[`tape`] — an intermediate form
 //! that lowers a `(Program, ParamBinding, DataLayout)` triple once into
 //! register op tapes with affine address walkers and guard-resolved
-//! iteration segments — selecting superinstructions over it and executing
-//! guard-free inner segments in whole iteration strips, emitting access
-//! events in batches through [`machine::TraceSink::record_batch`]. The two
-//! are observationally identical; the engine is selected per
+//! iteration segments — computing every statement from its op tape and
+//! executing guard-free inner segments in whole iteration strips, emitting
+//! access events in batches through [`machine::TraceSink::record_batch`].
+//! The two are observationally identical; the engine is selected per
 //! [`machine::Machine`] (explicitly, or via `GCR_EXEC`), and the VM is the
 //! default for all measurement runs.
 
@@ -38,8 +38,8 @@ pub mod vm;
 pub use compile::{compile, try_compile, Refusal};
 pub use layout::{ArrayLayout, DataLayout};
 pub use machine::{
-    AccessEvent, BatchSlot, CountingSink, ExecEngine, ExecEstimate, ExecStats, Machine, NullSink,
-    Tee, TraceBatch, TraceSink, DEFAULT_MAX_BYTES,
+    canonical_bits, AccessEvent, BatchSlot, CountingSink, ExecEngine, ExecEstimate, ExecStats,
+    Machine, NullSink, Tee, TraceBatch, TraceSink, DEFAULT_MAX_BYTES,
 };
 pub use tape::CompiledProgram;
 pub use vm::VmPlan;

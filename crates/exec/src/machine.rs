@@ -271,21 +271,35 @@ pub struct ExecEstimate {
     pub accesses: u64,
 }
 
+/// The bits of `x` the two engines promise to agree on: its own bits,
+/// except that every NaN maps to one canonical NaN. Rust leaves the sign
+/// and payload of an operation's NaN result unspecified, so no operand
+/// order can make NaNs bit-identical; engine equivalence checks compare
+/// memory through this, and any NaN equals any NaN.
+pub fn canonical_bits(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
 /// Which execution engine a [`Machine`] runs.
 ///
 /// Both engines are observationally identical — same access-event
-/// stream, bit-identical `f64` memory image, same statistics and fuel
-/// accounting — which the differential test suite and the interp≡vm
-/// conformance oracle enforce. The interpreter is the reference semantics;
+/// stream, bit-identical `f64` memory image up to NaN sign and payload
+/// ([`canonical_bits`]), same statistics and fuel accounting — which the
+/// differential test suite and the interp≡vm conformance oracle enforce.
+/// The interpreter is the reference semantics;
 /// the register VM is the fast producer, one dispatch per iteration strip.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecEngine {
     /// The tree-walking interpreter (reference semantics).
     Interp,
-    /// The register bytecode VM of [`mod@crate::vm`]: superinstructions
-    /// selected over the tape of [`mod@crate::compile`] (op tapes, affine
-    /// address walkers, guard-resolved iteration segments) plus vectorized
-    /// strip execution with batched event emission. Programs outside the
+    /// The register bytecode VM of [`mod@crate::vm`]: the tape of
+    /// [`mod@crate::compile`] (op tapes, affine address walkers,
+    /// guard-resolved iteration segments) run in vectorized strips with
+    /// batched event emission. Programs outside the
     /// tape's compilation domain run on the interpreter; the default for
     /// all measurement runs.
     #[default]

@@ -14,9 +14,9 @@
 //!   small register file — destination registers are the expression-tree
 //!   depths, assigned at lowering time, so evaluation is a single loop with
 //!   no runtime stack. Leaf-then-combine pairs are fused into single
-//!   superinstructions (`Op::ReadAdd`, `Op::ConstMul`, …), halving the
-//!   dispatch count on stencil right-hand sides without reordering any
-//!   floating-point operation;
+//!   ops (`Op::ReadAdd`, `Op::ConstMul`, …), halving the dispatch count
+//!   on stencil right-hand sides without reordering any floating-point
+//!   operation;
 //! * every static array reference becomes a `Walker`: an affine address
 //!   re-based at loop entry and advanced by a constant byte stride per
 //!   iteration, replacing the subscript multiply chain in `locate()`;
@@ -31,11 +31,12 @@
 //!
 //! The tape is an IR, not an engine: [`crate::vm`] walks its items, loops
 //! and segments, and the only code here that executes anything is the
-//! statement-instance core the VM calls into — `Exec::exec_ops` for
-//! statements with no superinstruction shape (`VInst::Micro`), and
-//! `Exec::store_tail` / `Exec::traced_read` / `Exec::spend` on the exact
-//! per-iteration path taken when fuel cannot cover a whole strip. That
-//! core is observationally identical to the interpreter: same
+//! statement-instance core the VM calls into — `Exec::exec_ops` and
+//! `Exec::store_tail`, which compute and store every statement instance
+//! outside an op-major strip sweep (quietly inside a strip, with events and
+//! accounting on the exact per-iteration path taken when fuel cannot cover
+//! a whole strip), plus `Exec::traced_read` and `Exec::spend`. That core
+//! is observationally identical to the interpreter: same
 //! [`AccessEvent`] stream (order and fields), bit-identical `f64` memory
 //! image (same FP evaluation order, including the division guard and the
 //! intrinsic call lowering), same [`ExecStats`], and the same fuel

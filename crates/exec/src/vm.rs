@@ -1,5 +1,5 @@
-//! The register bytecode VM: superinstruction selection over the compiled
-//! tape and vectorized strip execution with batched event emission.
+//! The register bytecode VM: vectorized strip execution of the compiled
+//! tape with batched event emission.
 //!
 //! The tape ([`crate::tape`]) already lowers expression trees to linear op
 //! tapes over an untagged register file, but executed op by op it still
@@ -7,14 +7,18 @@
 //! event. This engine removes both taxes where the tape's own analysis
 //! proves it safe:
 //!
-//! * **Superinstructions.** Each compiled statement's op tape is pattern
-//!   matched once into a single `VInst`: constant fills, copies, fused
-//!   load-load-op-store sequences (`VInst::BinRR`), load-const forms
-//!   (`VInst::BinRC`), and read-sum chains with an optional affine
-//!   post-step (`VInst::Chain` — the shape of every stencil and intrinsic
-//!   call the frontend produces). Statements outside these shapes keep the
-//!   op tape and run as `VInst::Micro`, so the lowering is *total*: the
-//!   VM's domain is exactly the tape compiler's domain.
+//! * **One statement evaluator.** Every statement's right-hand side is
+//!   computed from its op tape and nothing else, so the VM's domain is
+//!   exactly the tape compiler's domain. Which schedule runs the tape
+//!   depends only on the strip: a statement-major strip sweeps each
+//!   instance op-major over the whole strip (`vec_micro`: one dispatch
+//!   per op per strip) unless [`micro_vec_ok`] finds the instance reading
+//!   its own earlier stores, which then steps one iteration at a time
+//!   (`seq_micro`); an iteration-major strip runs `compute_one`
+//!   (`exec_ops` + `store_tail`, quiet) per instance per iteration; the
+//!   exact path runs the same pair with per-event emission. The tape's
+//!   fused leaf ops (`Op::ReadAdd`, `Op::ConstMul`, …) are its IR, not a
+//!   second path.
 //! * **Strip execution.** Segments whose members are statements with
 //!   affine walkers execute in whole iteration strips per dispatch. Members
 //!   may carry outer-condition bits — every statement of a fused loop does
@@ -22,7 +26,7 @@
 //!   change inside it: the plan covers *all* members of the segment, and
 //!   each loop entry runs it with the members its mask switches off
 //!   filtered out of the slot list, the instance boundaries, the bulk
-//!   fuel/statistics charge and the kernel sweep. An unconditional segment
+//!   fuel/statistics charge and the compute sweep. An unconditional segment
 //!   is the case "no member has a bit" of the same plan and the same run.
 //!   Because every event address is an affine function of the loop
 //!   variable (value-independent), the strip's complete event stream is
@@ -32,10 +36,10 @@
 //!   [`crate::TraceSink::record_batch`]. The producer does *zero* per-event
 //!   work — an event-blind sink costs nothing, and a hot sink expands
 //!   addresses in one tight loop over its own state. The arithmetic then
-//!   runs as tight per-statement kernels over the strip.
+//!   runs per statement over the strip.
 //!   When a compile-time dependence check proves no statement pair can
-//!   touch the same address within a strip (distinct iterations), kernels
-//!   sweep statement-major; otherwise compute falls back to
+//!   touch the same address within a strip (distinct iterations), compute
+//!   sweeps statement-major; otherwise it falls back to
 //!   iteration-major order inside the strip, which preserves every data
 //!   dependence while events stay batched.
 //! * **Inner-loop unrolling.** A condition-free constant-trip inner loop (the
@@ -49,8 +53,9 @@
 //! Observational equivalence with the interpreter is non-negotiable and
 //! enforced by the differential test suite and the interp≡vm conformance
 //! oracle: identical `AccessEvent` streams (including `end_instance`
-//! interleaving), bit-identical `f64` memory, identical [`ExecStats`], and
-//! identical fuel accounting. The strip path is taken only when the
+//! interleaving), bit-identical `f64` memory (up to NaN sign and payload,
+//! which Rust leaves unspecified: any NaN equals any NaN), identical
+//! [`ExecStats`], and identical fuel accounting. The strip path is taken only when the
 //! remaining fuel provably covers the whole segment under the current
 //! mask, so exhaustion inside a strip is impossible and partial runs take
 //! the exact per-event path.
@@ -61,122 +66,18 @@ use crate::tape::{CompiledProgram, Exec, ItemKind, Op, Segment};
 use gcr_ir::{ArrayId, GcrError, ReduceOp, StmtId};
 use std::mem;
 
-/// Cap on iterations per strip: bounds each kernel's working set (a strip
+/// Cap on iterations per strip: bounds each sweep's working set (a strip
 /// walks at most this many elements per operand) and the distance the
 /// statement-major dependence check must clear.
 const MAX_STRIP: usize = 1024;
 
 /// Trip-count ceiling for unrolling a constant-bound inner loop into its
 /// parent's strip. Small by design: unrolling multiplies the per-iteration
-/// slot and kernel count by the trip count, and the payoff — strips as
+/// slot and step count by the trip count, and the payoff — strips as
 /// long as the *parent* loop instead of the tiny inner one — only needs
 /// the short component-style loops (`for m = 1, 5`) the NPB kernels wrap
 /// around every statement.
 const UNROLL_MAX: i64 = 8;
-
-/// Arithmetic of the binary superinstructions. Division carries the
-/// interpreter's guard (divisor below `1e-300` leaves the left operand).
-#[derive(Clone, Copy, Debug)]
-enum VBin {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Max,
-    Min,
-}
-
-impl VBin {
-    #[inline(always)]
-    fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            VBin::Add => a + b,
-            VBin::Sub => a - b,
-            VBin::Mul => a * b,
-            VBin::Div => {
-                if b.abs() < 1e-300 {
-                    a
-                } else {
-                    a / b
-                }
-            }
-            VBin::Max => a.max(b),
-            VBin::Min => a.min(b),
-        }
-    }
-
-    fn from_read_op(op: &Op) -> Option<(Self, u32)> {
-        match *op {
-            Op::ReadAdd { d: 0, w, .. } => Some((VBin::Add, w)),
-            Op::ReadSub { d: 0, w, .. } => Some((VBin::Sub, w)),
-            Op::ReadMul { d: 0, w, .. } => Some((VBin::Mul, w)),
-            Op::ReadMax { d: 0, w, .. } => Some((VBin::Max, w)),
-            Op::ReadMin { d: 0, w, .. } => Some((VBin::Min, w)),
-            _ => None,
-        }
-    }
-
-    fn from_const_op(op: &Op) -> Option<(Self, f64)> {
-        match *op {
-            Op::ConstAdd { d: 0, v } => Some((VBin::Add, v)),
-            Op::ConstSub { d: 0, v } => Some((VBin::Sub, v)),
-            Op::ConstMul { d: 0, v } => Some((VBin::Mul, v)),
-            // `ConstDiv` is emitted only for `|v| >= 1e-300`, where the
-            // guarded division is a plain division — identical result.
-            Op::ConstDiv { d: 0, v } => Some((VBin::Div, v)),
-            Op::ConstMax { d: 0, v } => Some((VBin::Max, v)),
-            Op::ConstMin { d: 0, v } => Some((VBin::Min, v)),
-            _ => None,
-        }
-    }
-
-    fn from_bin_op(op: &Op) -> Option<Self> {
-        match *op {
-            Op::Add { d: 0 } => Some(VBin::Add),
-            Op::Sub { d: 0 } => Some(VBin::Sub),
-            Op::Mul { d: 0 } => Some(VBin::Mul),
-            Op::Div { d: 0 } => Some(VBin::Div),
-            Op::Max { d: 0 } => Some(VBin::Max),
-            Op::Min { d: 0 } => Some(VBin::Min),
-            _ => None,
-        }
-    }
-}
-
-/// Post-step of a read-sum chain, preserving the tape's exact FP order.
-#[derive(Clone, Copy, Debug)]
-enum ChainKind {
-    /// `scale * acc + bias`, accumulator seeded with `0.0` (the intrinsic
-    /// call lowering: `Const 0, ReadAdd…, Intrinsic`).
-    Intrinsic { scale: f64, bias: f64 },
-    /// `c * acc`, accumulator seeded with the first read
-    /// (`Const c, Read, ReadAdd…, Mul` — a scaled stencil).
-    PreMul { c: f64 },
-    /// `acc ⊕ v`, accumulator seeded with the first read
-    /// (`Read, ReadAdd…, Const⊕`).
-    Post { v: f64, op: VBin },
-    /// Plain sum, accumulator seeded with the first read.
-    Sum,
-}
-
-/// One superinstruction: how a statement's right-hand side is computed.
-/// The store (reduce read, write, instance boundary) is driven uniformly
-/// from the statement's metadata.
-#[derive(Clone, Copy, Debug)]
-enum VInst {
-    /// `rhs = v`.
-    Fill { v: f64 },
-    /// `rhs = read(a)`.
-    Copy { a: u32 },
-    /// `rhs = read(a) ⊕ read(b)`.
-    BinRR { a: u32, b: u32, op: VBin },
-    /// `rhs = read(a) ⊕ v`.
-    BinRC { a: u32, v: f64, op: VBin },
-    /// Read-sum chain over `chain_ws[ws.0..ws.1]` with a post-step.
-    Chain { ws: (u32, u32), kind: ChainKind },
-    /// No recognized shape: interpret the statement's op tape.
-    Micro,
-}
 
 /// One event slot of a strip iteration: which walker produces the event,
 /// how its address advances per iteration, and the event's static fields.
@@ -206,9 +107,9 @@ struct SItem {
 enum Step {
     /// One statement instance, with its event slots of one iteration in
     /// emission order: `slots[start..end]`. Costs one fuel unit, like the
-    /// interpreter's assignment. `vector` is false for a `VInst::Micro`
-    /// instance whose op-major sweep over a strip would be observable (it
-    /// reads what it wrote in an earlier iteration); a statement-major
+    /// interpreter's assignment. `vector` is [`micro_vec_ok`]: false for
+    /// an instance whose op-major sweep over a strip would be observable
+    /// (it reads what it wrote in an earlier iteration); a statement-major
     /// strip runs such an instance one iteration at a time.
     Stmt { si: u32, slots: (u32, u32), vector: bool },
     /// Set `vars[var] = val` and prime walkers `prime` — positions one
@@ -222,7 +123,7 @@ enum Step {
 struct Strip {
     /// Steps per iteration: `sitems[start..end]`.
     items: (u32, u32),
-    /// True when kernels may sweep statement-major: the affine dependence
+    /// True when compute may sweep statement-major: the affine dependence
     /// check proved that no instance touches, in an earlier iteration of a
     /// strip, an address an instance before it in the body touches in a
     /// later one. Proved on the full member set, so it holds for whatever
@@ -230,14 +131,13 @@ struct Strip {
     stmt_major: bool,
 }
 
-/// A compiled program's VM lowering: superinstructions for every statement
-/// plus strip plans for every segment of statements. Built once per
-/// [`CompiledProgram`] by [`VmPlan::build`] and cached by the machine; the
-/// lowering is total, so the VM runs exactly the programs that compile.
+/// A compiled program's VM lowering: strip plans for every segment of
+/// statements. Built once per [`CompiledProgram`] by [`VmPlan::build`] and
+/// cached by the machine; statements run from their op tapes and every
+/// other segment keeps the exact path, so the VM runs exactly the programs
+/// that compile.
 #[derive(Clone, Debug)]
 pub struct VmPlan {
-    vstmts: Vec<VInst>,
-    chain_ws: Vec<u32>,
     /// Indexed like `CompiledProgram::segments`; `Some` iff every member
     /// of the segment is a statement or a constant-trip inner loop that
     /// unrolls into statements.
@@ -246,28 +146,21 @@ pub struct VmPlan {
     sitems: Vec<SItem>,
     /// Most event slots any strip iteration has (descriptor pre-sizing).
     max_slots: usize,
-    /// Vector-register rows the widest op-major Micro kernel needs.
+    /// Vector-register rows the widest op-major sweep needs.
     max_vregs: usize,
 }
 
 impl VmPlan {
-    /// Lowers a compiled program to the VM. Total: every statement gets a
-    /// superinstruction (worst case `VInst::Micro`) and every segment of
-    /// statements a strip plan.
+    /// Lowers a compiled program to the VM: a strip plan for every segment
+    /// of statements that admits one.
     pub fn build(cp: &CompiledProgram) -> VmPlan {
         let mut plan = VmPlan {
-            vstmts: Vec::with_capacity(cp.stmts.len()),
-            chain_ws: Vec::new(),
             strips: vec![None; cp.segments.len()],
             slots: Vec::new(),
             sitems: Vec::new(),
             max_slots: 0,
             max_vregs: 0,
         };
-        for s in &cp.stmts {
-            let inst = select(cp, s.ops, &mut plan.chain_ws);
-            plan.vstmts.push(inst);
-        }
         for l in &cp.loops {
             for sidx in l.segments.0..l.segments.1 {
                 plan.build_strip(cp, sidx, l.var);
@@ -276,10 +169,11 @@ impl VmPlan {
         plan
     }
 
-    /// Number of statements lowered to a single-opcode superinstruction
-    /// (everything except `VInst::Micro`).
+    /// Always 0: the VM has no superinstructions any more — every
+    /// statement runs from its op tape. Kept because the benchmark's
+    /// frozen layer table still reports `exec.superinstructions`.
     pub fn superinstruction_count(&self) -> usize {
-        self.vstmts.iter().filter(|i| !matches!(i, VInst::Micro)).count()
+        0
     }
 
     /// Number of segments with a strip plan.
@@ -331,8 +225,6 @@ impl VmPlan {
             /// Walkers to re-base before the instance: set on the first
             /// statement of each unrolled inner iteration.
             prime: Option<(u32, u32)>,
-            /// See [`Step::Stmt`]; decided once the accesses are known.
-            vector: bool,
         }
         // Admission: every member must be a statement, or a constant-trip
         // inner loop that unrolls — no conditions of its own, one segment
@@ -343,7 +235,7 @@ impl VmPlan {
         for it in &cp.items[seg.items.0 as usize..seg.items.1 as usize] {
             match it.kind {
                 ItemKind::Stmt(si) => {
-                    insts.push(Inst { req: it.req, si, subst: None, prime: None, vector: true })
+                    insts.push(Inst { req: it.req, si, subst: None, prime: None })
                 }
                 ItemKind::Loop(li) => {
                     let l2 = &cp.loops[li as usize];
@@ -363,7 +255,6 @@ impl VmPlan {
                                 si,
                                 subst: Some((l2.var, j)),
                                 prime: (k == 0).then_some(m.prime),
-                                vector: true,
                             });
                         }
                     }
@@ -379,20 +270,16 @@ impl VmPlan {
         let strip_len = (MAX_STRIP as i64).min(seg.hi - seg.lo + 1);
         // Statement-major execution runs each instance over a whole strip
         // before the next one starts. Within an instance that is always
-        // the original order (kernels ascend in the iteration; a Micro
-        // instance whose op-major sweep would be observable is marked
-        // non-`vector` and stepped one iteration at a time). Across
-        // instances it is legal when no pair is reordered: see
-        // `deps_allow_stmt_major`. Unrolled instances take part with their
-        // inner-loop value substituted into the affine form. All of it is
-        // checked on the full instance list: a pairwise property of the
-        // whole set holds for every subset a mask selects.
+        // the original order (an instance whose op-major sweep would be
+        // observable is marked non-`vector` and stepped one iteration at a
+        // time). Across instances it is legal when no pair is reordered:
+        // see `deps_allow_stmt_major`. Unrolled instances take part with
+        // their inner-loop value substituted into the affine form. All of
+        // it is checked on the full instance list: a pairwise property of
+        // the whole set holds for every subset a mask selects.
         let accs: Vec<Vec<AffAcc>> =
             insts.iter().map(|i| inst_accs(cp, i.si, var, i.subst)).collect();
-        for (i, acc) in insts.iter_mut().zip(&accs) {
-            i.vector =
-                !matches!(self.vstmts[i.si as usize], VInst::Micro) || micro_vec_ok(acc, strip_len);
-        }
+        let vector: Vec<bool> = accs.iter().map(|acc| micro_vec_ok(acc, strip_len)).collect();
         let stmt_major = deps_allow_stmt_major(&accs, strip_len);
         if unrolled && !stmt_major {
             // An unrolled iteration-major fallback would re-prime every
@@ -402,12 +289,10 @@ impl VmPlan {
             return;
         }
         if stmt_major {
-            for i in insts.iter().filter(|i| i.vector) {
-                if matches!(self.vstmts[i.si as usize], VInst::Micro) {
-                    let s = &cp.stmts[i.si as usize];
-                    for op in &cp.ops[s.ops.0 as usize..s.ops.1 as usize] {
-                        self.max_vregs = self.max_vregs.max(op_rows(op));
-                    }
+            for (i, _) in insts.iter().zip(&vector).filter(|&(_, &v)| v) {
+                let s = &cp.stmts[i.si as usize];
+                for op in &cp.ops[s.ops.0 as usize..s.ops.1 as usize] {
+                    self.max_vregs = self.max_vregs.max(op_rows(op));
                 }
             }
         }
@@ -415,11 +300,11 @@ impl VmPlan {
         // order.
         let slots_start = self.slots.len();
         let items_start = self.sitems.len() as u32;
-        for i in &insts {
+        for (i, &vector) in insts.iter().zip(&vector) {
             if let (Some((mvar, val)), Some(prime)) = (i.subst, i.prime) {
                 self.sitems.push(SItem { req: i.req, step: Step::Prime { var: mvar, val, prime } });
             }
-            self.push_inst(cp, i.si, i.req, i.vector, var);
+            self.push_inst(cp, i.si, i.req, vector, var);
         }
         self.max_slots = self.max_slots.max(self.slots.len() - slots_start);
         self.strips[sidx as usize] =
@@ -465,99 +350,6 @@ fn any_read_walker(op: &Op) -> Option<u32> {
         Op::ReadScalar { w, .. } => Some(w),
         _ => op.traced_read_walker(),
     }
-}
-
-/// Selects the superinstruction for one op tape.
-fn select(cp: &CompiledProgram, ops_range: (u32, u32), chain_ws: &mut Vec<u32>) -> VInst {
-    let ops = &cp.ops[ops_range.0 as usize..ops_range.1 as usize];
-    match ops {
-        [Op::Const { d: 0, v }] => return VInst::Fill { v: *v },
-        [Op::Read { d: 0, w, .. }] => return VInst::Copy { a: *w },
-        [Op::Read { d: 0, w: a, .. }, second] => {
-            if let Some((op, b)) = VBin::from_read_op(second) {
-                return VInst::BinRR { a: *a, b, op };
-            }
-            if let Some((op, v)) = VBin::from_const_op(second) {
-                return VInst::BinRC { a: *a, v, op };
-            }
-        }
-        // Unfused three-op binary (division is never leaf-fused).
-        [Op::Read { d: 0, w: a, .. }, Op::Read { d: 1, w: b, .. }, third] => {
-            if let Some(op) = VBin::from_bin_op(third) {
-                return VInst::BinRR { a: *a, b: *b, op };
-            }
-        }
-        _ => {}
-    }
-    // Read-sum chains. The intrinsic-call shape seeds the accumulator
-    // with literal +0.0 (matching the interpreter's argument sum); the
-    // other shapes seed it with the first read.
-    if ops.len() >= 3 {
-        if let (Op::Const { d: 0, v }, Op::Intrinsic { d: 0, scale, bias }) =
-            (&ops[0], &ops[ops.len() - 1])
-        {
-            if v.to_bits() == 0.0f64.to_bits() {
-                if let Some(ws) = collect_chain(&ops[1..ops.len() - 1], chain_ws, false) {
-                    return VInst::Chain {
-                        ws,
-                        kind: ChainKind::Intrinsic { scale: *scale, bias: *bias },
-                    };
-                }
-            }
-        }
-    }
-    if ops.len() >= 4 {
-        if let (Op::Const { d: 0, v }, Op::Mul { d: 0 }) = (&ops[0], &ops[ops.len() - 1]) {
-            if let Some(ws) = collect_chain_at(&ops[1..ops.len() - 1], chain_ws, 1) {
-                return VInst::Chain { ws, kind: ChainKind::PreMul { c: *v } };
-            }
-        }
-    }
-    if ops.len() >= 3 {
-        if let Some((op, v)) = VBin::from_const_op(&ops[ops.len() - 1]) {
-            if let Some(ws) = collect_chain(&ops[..ops.len() - 1], chain_ws, true) {
-                return VInst::Chain { ws, kind: ChainKind::Post { v, op } };
-            }
-        }
-        if let Some(ws) = collect_chain(ops, chain_ws, true) {
-            return VInst::Chain { ws, kind: ChainKind::Sum };
-        }
-    }
-    VInst::Micro
-}
-
-/// Collects a `Read, ReadAdd…` (when `lead_read`) or `ReadAdd…` chain at
-/// register depth 0 into the walker pool, returning the pool range.
-fn collect_chain(ops: &[Op], chain_ws: &mut Vec<u32>, lead_read: bool) -> Option<(u32, u32)> {
-    collect_chain_inner(ops, chain_ws, lead_read, 0)
-}
-
-/// Like [`collect_chain`], with a leading `Read` at register depth `d`
-/// (the scaled-stencil shape puts the sum one register deep).
-fn collect_chain_at(ops: &[Op], chain_ws: &mut Vec<u32>, d: u16) -> Option<(u32, u32)> {
-    collect_chain_inner(ops, chain_ws, true, d)
-}
-
-fn collect_chain_inner(
-    ops: &[Op],
-    chain_ws: &mut Vec<u32>,
-    lead_read: bool,
-    depth: u16,
-) -> Option<(u32, u32)> {
-    let mut ws = Vec::with_capacity(ops.len());
-    for (k, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Read { d, w, .. } if k == 0 && lead_read && d == depth => ws.push(w),
-            Op::ReadAdd { d, w, .. } if d == depth && (k > 0 || !lead_read) => ws.push(w),
-            _ => return None,
-        }
-    }
-    if ws.is_empty() {
-        return None;
-    }
-    let start = chain_ws.len() as u32;
-    chain_ws.extend_from_slice(&ws);
-    Some((start, chain_ws.len() as u32))
 }
 
 /// One statement instance's access in affine form over the strip
@@ -652,7 +444,7 @@ fn aff_meet(a: &AffAcc, b: &AffAcc, strip: i64) -> Meet {
     }
 }
 
-/// True when statement-major kernel sweeps over a strip of up to `strip`
+/// True when statement-major sweeps over a strip of up to `strip`
 /// iterations preserve every data dependence. Iteration-major order runs
 /// instance `p1` of iteration `t1` before instance `p2` of iteration `t2`
 /// when `t1 < t2`, or `t1 == t2` and `p1` comes first in the body;
@@ -663,8 +455,7 @@ fn aff_meet(a: &AffAcc, b: &AffAcc, strip: i64) -> Meet {
 /// negative distance. Same-iteration meetings keep their order, forward
 /// ones (a consumer after its producer in the body, reading what an
 /// earlier iteration produced — the shape alignment gives fused loops)
-/// do too, and same-instance dependences are handled by each kernel's
-/// ascending-iteration loop.
+/// do too, and same-instance dependences are [`micro_vec_ok`]'s to keep.
 fn deps_allow_stmt_major(accs: &[Vec<AffAcc>], strip: i64) -> bool {
     // Only accesses of one array can meet, so pair them up per array: a
     // fused body of 60 statements over 50 arrays stays far from quadratic.
@@ -691,8 +482,7 @@ fn deps_allow_stmt_major(accs: &[Vec<AffAcc>], strip: i64) -> bool {
     true
 }
 
-/// True when one `VInst::Micro` instance may execute op-major over a
-/// strip: one pass per op across all iterations, stores last. That runs
+/// True when one statement instance may execute op-major over a strip: one pass per op across all iterations, stores last. That runs
 /// every read of the strip before every store, which is unobservable
 /// unless a read touches what the instance's own write stored in an
 /// *earlier* iteration of the strip. A read of an address stored in the
@@ -772,22 +562,6 @@ pub(crate) fn run<S: TraceSink>(
     result
 }
 
-/// Address cursor of one kernel operand.
-#[derive(Clone, Copy)]
-struct Cur {
-    addr: i64,
-    stride: i64,
-}
-
-/// Resolved kernel of one statement over a strip.
-enum Kern {
-    Fill(f64),
-    Copy(Cur),
-    BinRR(Cur, Cur, VBin),
-    BinRC(Cur, f64, VBin),
-    Chain(Vec<Cur>, ChainKind),
-}
-
 /// The VM executor: tape execution state plus the strip's batch-slot
 /// descriptor buffer (one entry per event position of an iteration —
 /// building it is the *only* per-strip event work the VM does) and the
@@ -798,7 +572,7 @@ struct VmExec<'a> {
     plan: &'a VmPlan,
     bslots: Vec<BatchSlot>,
     bends: Vec<(u32, StmtId)>,
-    /// Vector register file of the op-major Micro kernel:
+    /// Vector register file of the op-major sweep:
     /// `max_vregs` rows of [`MAX_STRIP`] elements.
     vregs: Vec<f64>,
 }
@@ -938,7 +712,8 @@ impl VmExec<'_> {
                             self.ex.vars[mv as usize] = val;
                             self.ex.prime(prime);
                         }
-                        Step::Stmt { si, vector, .. } => self.kernel(si, vector, len, var, t),
+                        Step::Stmt { si, vector: true, .. } => self.vec_micro(si, len, var, t),
+                        Step::Stmt { si, vector: false, .. } => self.seq_micro(si, len, var, t),
                     }
                 }
                 for &(w, stride) in advance {
@@ -964,109 +739,7 @@ impl VmExec<'_> {
         self.bends = ends;
     }
 
-    /// Kernel operand cursor of walker `w`: current address plus the
-    /// per-iteration stride with respect to the strip variable.
-    fn cur_of(&self, w: u32, var: u16) -> Cur {
-        Cur { addr: self.ex.wk[w as usize].cur, stride: pstride(self.ex.cp, w, var) }
-    }
-
-    /// Statement-major vector kernel: one dispatch, then a tight
-    /// read-compute-write loop ascending in the strip iteration — which is
-    /// exactly the original per-iteration order of this statement, so
-    /// same-statement loop-carried dependences are preserved by
-    /// construction.
-    fn kernel(&mut self, si: u32, vector: bool, len: i64, var: u16, t0: i64) {
-        let cp = self.ex.cp;
-        let s = cp.stmts[si as usize];
-        let plan = self.plan;
-        let k = match plan.vstmts[si as usize] {
-            VInst::Fill { v } => Kern::Fill(v),
-            VInst::Copy { a } => Kern::Copy(self.cur_of(a, var)),
-            VInst::BinRR { a, b, op } => Kern::BinRR(self.cur_of(a, var), self.cur_of(b, var), op),
-            VInst::BinRC { a, v, op } => Kern::BinRC(self.cur_of(a, var), v, op),
-            VInst::Chain { ws, kind } => {
-                let list = &plan.chain_ws[ws.0 as usize..ws.1 as usize];
-                Kern::Chain(list.iter().map(|&w| self.cur_of(w, var)).collect(), kind)
-            }
-            VInst::Micro if vector => return self.vec_micro(si, len, var, t0),
-            VInst::Micro => return self.seq_micro(si, len, var, t0),
-        };
-        let sd = pstride(cp, s.walker, var);
-        let mut pd = self.ex.wk[s.walker as usize].cur;
-        let mem = &mut *self.ex.mem;
-        // Fused read-compute-write per iteration (never read-all-then
-        // -write-all — that would break same-statement dependences).
-        macro_rules! each {
-            ($rhs:expr) => {{
-                match s.reduce {
-                    None => {
-                        for _ in 0..len {
-                            let v = $rhs;
-                            mem[pd as usize / ELEM_BYTES] = v;
-                            pd += sd;
-                        }
-                    }
-                    Some(rop) => {
-                        for _ in 0..len {
-                            let v = $rhs;
-                            let e = pd as usize / ELEM_BYTES;
-                            let old = mem[e];
-                            mem[e] = match rop {
-                                ReduceOp::Sum => old + v,
-                                ReduceOp::Max => old.max(v),
-                                ReduceOp::Min => old.min(v),
-                            };
-                            pd += sd;
-                        }
-                    }
-                }
-            }};
-        }
-        match k {
-            Kern::Fill(v) => each!(v),
-            Kern::Copy(mut a) => each!({
-                let x = mem[a.addr as usize / ELEM_BYTES];
-                a.addr += a.stride;
-                x
-            }),
-            Kern::BinRR(mut a, mut b, op) => each!({
-                let x = mem[a.addr as usize / ELEM_BYTES];
-                let y = mem[b.addr as usize / ELEM_BYTES];
-                a.addr += a.stride;
-                b.addr += b.stride;
-                op.apply(x, y)
-            }),
-            Kern::BinRC(mut a, v, op) => each!({
-                let x = mem[a.addr as usize / ELEM_BYTES];
-                a.addr += a.stride;
-                op.apply(x, v)
-            }),
-            Kern::Chain(mut cs, kind) => each!({
-                let mut it = cs.iter_mut();
-                let mut acc = match kind {
-                    ChainKind::Intrinsic { .. } => 0.0,
-                    _ => {
-                        let c = it.next().unwrap();
-                        let x = mem[c.addr as usize / ELEM_BYTES];
-                        c.addr += c.stride;
-                        x
-                    }
-                };
-                for c in it {
-                    acc += mem[c.addr as usize / ELEM_BYTES];
-                    c.addr += c.stride;
-                }
-                match kind {
-                    ChainKind::Intrinsic { scale, bias } => scale * acc + bias,
-                    ChainKind::PreMul { c } => c * acc,
-                    ChainKind::Post { v, op } => op.apply(acc, v),
-                    ChainKind::Sum => acc,
-                }
-            }),
-        }
-    }
-
-    /// Op-major vector execution of one Micro statement over a strip:
+    /// Op-major vector execution of one statement over a strip:
     /// each tape op runs once, as a tight loop over all `len` iterations
     /// on a row of the vector register file, then the store phase commits
     /// row 0 in ascending iteration order. One dispatch per op per strip
@@ -1187,7 +860,7 @@ impl VmExec<'_> {
         }
     }
 
-    /// One Micro statement over a strip, one iteration at a time: what a
+    /// One statement over a strip, one iteration at a time: what a
     /// statement-major strip does with an instance that reads its own
     /// earlier stores, where the op-major sweep of [`Self::vec_micro`]
     /// would be observable.
@@ -1216,99 +889,22 @@ impl VmExec<'_> {
         self.ex.vars[var as usize] = t0;
     }
 
-    /// Iteration-major quiet compute of one statement instance: identical
-    /// arithmetic to the exact path, no events (the batch already carries
+    /// Iteration-major quiet compute of one statement instance: the exact
+    /// path's op tape and store, with no events (the batch already carries
     /// them) and no accounting (charged in bulk).
     fn compute_one(&mut self, si: u32) {
-        let cp = self.ex.cp;
-        let plan = self.plan;
-        let s = cp.stmts[si as usize];
-        let mut ns = NullSink;
-        let rhs = match plan.vstmts[si as usize] {
-            VInst::Fill { v } => v,
-            VInst::Copy { a } => self.read_quiet(a),
-            VInst::BinRR { a, b, op } => {
-                let x = self.read_quiet(a);
-                let y = self.read_quiet(b);
-                op.apply(x, y)
-            }
-            VInst::BinRC { a, v, op } => op.apply(self.read_quiet(a), v),
-            VInst::Chain { ws, kind } => {
-                let list = &plan.chain_ws[ws.0 as usize..ws.1 as usize];
-                self.chain_value::<false, NullSink>(list, kind, s.id, &mut ns)
-            }
-            VInst::Micro => {
-                self.ex.exec_ops::<false, false, NullSink>(s.ops, &mut ns);
-                self.ex.regs[0]
-            }
-        };
-        self.ex.regs[0] = rhs;
-        self.ex.store_tail::<false, false, NullSink>(s, &mut ns);
+        let s = self.ex.cp.stmts[si as usize];
+        self.ex.exec_ops::<false, false, NullSink>(s.ops, &mut NullSink);
+        self.ex.store_tail::<false, false, NullSink>(s, &mut NullSink);
     }
 
-    #[inline(always)]
-    fn read_quiet(&mut self, w: u32) -> f64 {
-        self.ex.mem[self.ex.wk[w as usize].cur as usize / ELEM_BYTES]
-    }
-
-    /// Evaluates a read-sum chain; `EMIT` selects per-event emission (the
-    /// exact path) versus quiet reads (the strip-compute path).
-    #[inline(always)]
-    fn chain_value<const EMIT: bool, S: TraceSink>(
-        &mut self,
-        list: &[u32],
-        kind: ChainKind,
-        stmt: StmtId,
-        sink: &mut S,
-    ) -> f64 {
-        let mut i = 0;
-        let mut acc = match kind {
-            ChainKind::Intrinsic { .. } => 0.0,
-            _ => {
-                i = 1;
-                self.ex.traced_read::<EMIT, EMIT, S>(list[0], stmt, sink)
-            }
-        };
-        for &w in &list[i..] {
-            acc += self.ex.traced_read::<EMIT, EMIT, S>(w, stmt, sink);
-        }
-        match kind {
-            ChainKind::Intrinsic { scale, bias } => scale * acc + bias,
-            ChainKind::PreMul { c } => c * acc,
-            ChainKind::Post { v, op } => op.apply(acc, v),
-            ChainKind::Sum => acc,
-        }
-    }
-
-    /// Exact-path statement execution: superinstruction dispatch with
+    /// Exact-path statement execution: the op tape and store with
     /// per-event emission and per-access accounting — event-for-event
     /// identical to the interpreter.
     fn exec_stmt<S: TraceSink>(&mut self, si: u32, sink: &mut S) -> Result<(), GcrError> {
         self.ex.spend()?;
-        let cp = self.ex.cp;
-        let plan = self.plan;
-        let s = cp.stmts[si as usize];
-        let rhs = match plan.vstmts[si as usize] {
-            VInst::Fill { v } => v,
-            VInst::Copy { a } => self.ex.traced_read::<true, true, S>(a, s.id, sink),
-            VInst::BinRR { a, b, op } => {
-                let x = self.ex.traced_read::<true, true, S>(a, s.id, sink);
-                let y = self.ex.traced_read::<true, true, S>(b, s.id, sink);
-                op.apply(x, y)
-            }
-            VInst::BinRC { a, v, op } => {
-                op.apply(self.ex.traced_read::<true, true, S>(a, s.id, sink), v)
-            }
-            VInst::Chain { ws, kind } => {
-                let list = &plan.chain_ws[ws.0 as usize..ws.1 as usize];
-                self.chain_value::<true, S>(list, kind, s.id, sink)
-            }
-            VInst::Micro => {
-                self.ex.exec_ops::<true, true, S>(s.ops, sink);
-                self.ex.regs[0]
-            }
-        };
-        self.ex.regs[0] = rhs;
+        let s = self.ex.cp.stmts[si as usize];
+        self.ex.exec_ops::<true, true, S>(s.ops, sink);
         self.ex.store_tail::<true, true, S>(s, sink);
         Ok(())
     }
@@ -1337,85 +933,109 @@ mod tests {
             .any(|it| matches!(it.step, Step::Prime { .. }))
     }
 
+    /// The `vector` flag of every statement step, in plan order.
+    fn vector_steps(plan: &VmPlan) -> Vec<bool> {
+        plan.sitems
+            .iter()
+            .filter_map(|it| match it.step {
+                Step::Stmt { vector, .. } => Some(vector),
+                Step::Prime { .. } => None,
+            })
+            .collect()
+    }
+
+    /// Runs `src` at `n` on both engines; every observable must agree.
+    fn assert_vm_matches_interp(src: &str, n: i64) {
+        let prog = gcr_frontend::parse(src).unwrap();
+        let bind = ParamBinding::new(vec![n; prog.params.len()]);
+        let run = |engine: crate::machine::ExecEngine| {
+            let mut m = Machine::new(&prog, bind.clone()).with_engine(engine);
+            let mut sink = crate::machine::CountingSink::default();
+            m.run(&mut sink);
+            (sink.reads, sink.writes, m.stats(), m.checksum().to_bits())
+        };
+        assert_eq!(run(crate::machine::ExecEngine::Interp), run(crate::machine::ExecEngine::Vm));
+    }
+
+    /// The 3-point stencil once matched the read-sum chain
+    /// superinstruction; now it gets one statement-major strip and sweeps
+    /// its op tape op-major.
     #[test]
     fn stencil_selects_chain_superinstruction() {
-        let (plan, _) = plan_of(
-            "
+        let src = "
 program s
 param N
 array A[N], B[N]
 for i = 2, N - 1 { B[i] = A[i-1] + A[i] + A[i+1] }
-",
-            16,
-        );
-        assert_eq!(plan.vstmts.len(), 1);
-        assert!(
-            matches!(plan.vstmts[0], VInst::Chain { kind: ChainKind::Sum, ws } if ws.1 - ws.0 == 3),
-            "3-point stencil must fuse to one read-sum chain: {:?}",
-            plan.vstmts[0]
-        );
+";
+        let (plan, _) = plan_of(src, 16);
         assert_eq!(plan.strip_count(), 1, "guard-free inner loop must get a strip plan");
-        assert_eq!(plan.superinstruction_count(), 1);
+        assert!(plan.strips.iter().flatten().all(|s| s.stmt_major));
+        assert_eq!(vector_steps(&plan), [true], "the stencil must sweep op-major");
+        assert_eq!(plan.superinstruction_count(), 0);
+        assert_vm_matches_interp(src, 16);
     }
 
+    /// An intrinsic call once matched the intrinsic chain superinstruction;
+    /// now its tape's `Intrinsic` op runs op-major like any other.
     #[test]
     fn intrinsic_call_selects_intrinsic_chain() {
-        let (plan, _) = plan_of(
-            "
+        let src = "
 program s
 param N
 array A[N], B[N]
 for i = 2, N - 1 { B[i] = f(A[i-1], A[i], A[i+1]) }
-",
-            16,
-        );
+";
+        let (plan, cp) = plan_of(src, 16);
         assert!(
-            matches!(
-                plan.vstmts[0],
-                VInst::Chain { kind: ChainKind::Intrinsic { .. }, ws } if ws.1 - ws.0 == 3
-            ),
-            "intrinsic call must fuse to one chain: {:?}",
-            plan.vstmts[0]
+            cp.ops[cp.stmts[0].ops.0 as usize..cp.stmts[0].ops.1 as usize]
+                .iter()
+                .any(|op| matches!(op, Op::Intrinsic { .. })),
+            "the call must lower to an intrinsic tape op"
         );
+        assert_eq!(plan.strip_count(), 1);
+        assert_eq!(vector_steps(&plan), [true], "the intrinsic call must sweep op-major");
+        assert_vm_matches_interp(src, 16);
     }
 
+    /// The mmul inner product once matched the load-load-mul
+    /// superinstruction; now it is a `sum=` reduction swept from its tape.
     #[test]
     fn mmul_inner_selects_fused_multiply() {
-        let (plan, cp) = plan_of(
-            "
+        let src = "
 program mmul
 param N
 array A[N, N], B[N, N], C[N, N]
 for i = 1, N { for j = 1, N { for k = 1, N {
   C[j, i] sum= A[j, k] * B[k, i]
 } } }
-",
-            8,
-        );
-        assert!(
-            matches!(plan.vstmts[0], VInst::BinRR { op: VBin::Mul, .. }),
-            "mmul inner product must fuse to one load-load-mul opcode: {:?}",
-            plan.vstmts[0]
-        );
+";
+        let (plan, cp) = plan_of(src, 8);
         assert!(cp.stmts[0].reduce.is_some(), "sum= must lower to a reduction store");
         assert!(plan.strip_count() >= 1);
+        assert!(
+            vector_steps(&plan).iter().all(|&v| v),
+            "every instance of the inner product must sweep op-major"
+        );
+        assert_vm_matches_interp(src, 8);
     }
 
+    /// Fill and copy once matched single-opcode superinstructions; now each
+    /// is a one-op tape swept over its own strip.
     #[test]
     fn copy_and_fill_select_single_opcodes() {
-        let (plan, _) = plan_of(
-            "
+        let src = "
 program s
 param N
 array A[N], B[N]
 for i = 1, N { A[i] = 0.0 }
 for i = 1, N { B[i] = A[i] }
-",
-            16,
-        );
-        assert!(matches!(plan.vstmts[0], VInst::Fill { .. }), "{:?}", plan.vstmts[0]);
-        assert!(matches!(plan.vstmts[1], VInst::Copy { .. }), "{:?}", plan.vstmts[1]);
-        assert_eq!(plan.superinstruction_count(), 2);
+";
+        let (plan, _) = plan_of(src, 16);
+        assert_eq!(plan.strip_count(), 2);
+        assert_eq!(vector_steps(&plan), [true, true]);
+        assert_eq!(plan.superinstruction_count(), 0);
+        assert_vm_matches_interp(src, 16);
     }
 
     #[test]
@@ -1497,10 +1117,9 @@ for i = 2, N - 1 { for m = 1, 5 { R[m, i] = U[m, i-1] + U[m, i+1] } }
         };
         assert_eq!(run(crate::machine::ExecEngine::Interp), run(crate::machine::ExecEngine::Vm));
 
-        // A same-instance recurrence (R[m, i-1]) is still safe: each
-        // unrolled instance's kernel ascends in `i` with a fused
-        // read-compute-write loop, which is that instance's original
-        // order. But a *cross-instance* dependence at nonzero strip
+        // A same-instance recurrence (R[m, i-1]) is still safe: such an
+        // unrolled instance fails `micro_vec_ok` and steps through the
+        // strip one `i` at a time, which is its original order. But a *cross-instance* dependence at nonzero strip
         // distance — instance m reading what instance m+1 wrote one `i`
         // ago — would be reordered by the statement-major sweep, so the
         // parent must not unroll; the inner loop keeps its own short

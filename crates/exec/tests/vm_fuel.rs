@@ -184,7 +184,7 @@ fn fuel_bisection_guarded() {
 }
 
 /// Intrinsic-call chain (`B[i] = f(A[i-1], A[i], A[i+1])`): the
-/// `Const 0 + ReadAdd… + Intrinsic` superinstruction shape.
+/// `Const 0 + ReadAdd… + Intrinsic` tape the intrinsic lowering emits.
 #[test]
 fn fuel_bisection_intrinsic_chain() {
     let mut b = ProgramBuilder::new("intrinsic");
