@@ -73,6 +73,10 @@ fn ratio(a: u64, b: u64) -> f64 {
 }
 
 /// L1 + L2 + TLB.
+///
+/// The TLB and the L1→L2 pair never exchange state, so a batch replays
+/// through each at its own granularity: the TLB per page, the caches per
+/// L1 line. The counters are the components' own.
 #[derive(Clone, Debug)]
 pub struct MemoryHierarchy {
     /// First-level cache.
@@ -81,18 +85,12 @@ pub struct MemoryHierarchy {
     pub l2: Cache,
     /// Translation lookaside buffer (sees every reference).
     pub tlb: Tlb,
-    counts: MissCounts,
 }
 
 impl MemoryHierarchy {
     /// Builds a hierarchy.
     pub fn new(l1: CacheConfig, l2: CacheConfig, tlb: Tlb) -> Self {
-        MemoryHierarchy {
-            l1: Cache::new(l1),
-            l2: Cache::new(l2),
-            tlb,
-            counts: MissCounts::default(),
-        }
+        MemoryHierarchy { l1: Cache::new(l1), l2: Cache::new(l2), tlb }
     }
 
     /// The paper's Origin2000 (R12K): 32 KB L1, 4 MB L2, 64-entry TLB.
@@ -129,23 +127,19 @@ impl MemoryHierarchy {
     /// traffic accounting.
     #[inline]
     pub fn access_rw(&mut self, addr: u64, is_write: bool) {
-        self.counts.refs += 1;
-        if !self.tlb.access(addr) {
-            self.counts.tlb += 1;
-        }
-        if !self.l1.access_rw(addr, is_write) {
-            self.counts.l1 += 1;
-            if !self.l2.access_rw(addr, is_write) {
-                self.counts.l2 += 1;
-            }
-        }
+        self.tlb.access(addr);
+        self.caches().step(addr, is_write);
     }
 
-    /// Miss counters so far.
+    /// Miss counters so far: every reference is one TLB lookup.
     pub fn counts(&self) -> MissCounts {
-        let mut c = self.counts;
-        c.memory_traffic = self.l2.traffic_bytes();
-        c
+        MissCounts {
+            refs: self.tlb.hits() + self.tlb.misses(),
+            l1: self.l1.misses,
+            l2: self.l2.misses,
+            tlb: self.tlb.misses(),
+            memory_traffic: self.l2.traffic_bytes(),
+        }
     }
 
     /// Clears all state and counters.
@@ -153,27 +147,40 @@ impl MemoryHierarchy {
         self.l1.reset();
         self.l2.reset();
         self.tlb.reset();
-        self.counts = MissCounts::default();
     }
 
-    /// The segments of `batch` the replay rule may use: at the L1 line,
-    /// or the TLB page if that is smaller, so one line sequence is also
-    /// one page sequence.
-    fn replay_segments(&self, batch: &TraceBatch<'_>, out: &mut Vec<Segment>) {
-        let line = self.l1.config().line.min(self.tlb.page) as u64;
-        segments(batch, line, Self::NEED, out);
+    fn caches(&mut self) -> Caches<'_> {
+        Caches { l1: &mut self.l1, l2: &mut self.l2 }
+    }
+
+    /// The whole of `batch`, in stream order per component: the TLB over
+    /// its page-stable segments, then L1→L2 over its line-stable ones
+    /// (`segs` is scratch space for both lists).
+    fn record_batch(&mut self, batch: &TraceBatch<'_>, segs: &mut Vec<Segment>) {
+        segments(batch, self.tlb.page as u64, Tlb::NEED, segs);
+        replay(&mut self.tlb, batch, segs);
+        segments(batch, self.l1.config().line as u64, Caches::NEED, segs);
+        replay(&mut self.caches(), batch, segs);
     }
 }
 
+/// The L1→L2 pair of a [`MemoryHierarchy`]: L2 sees L1 misses only.
+struct Caches<'a> {
+    l1: &'a mut Cache,
+    l2: &'a mut Cache,
+}
+
 /// Rule (a) of [`crate::replay`]: L2 sees only L1 misses, so once an
-/// iteration repeats the previous line sequence with every L1 and TLB
-/// lookup a hit, every further iteration of the segment is pure hits.
-impl Replay for MemoryHierarchy {
+/// iteration repeats the previous line sequence with every L1 lookup a
+/// hit, every further iteration of the segment is pure hits.
+impl Replay for Caches<'_> {
     const NEED: u32 = 3;
 
-    #[inline]
+    #[inline(always)]
     fn step(&mut self, addr: u64, is_write: bool) {
-        self.access_rw(addr, is_write);
+        if !self.l1.access_rw(addr, is_write) {
+            self.l2.access_rw(addr, is_write);
+        }
     }
 
     #[inline(never)]
@@ -182,13 +189,9 @@ impl Replay for MemoryHierarchy {
             self,
             slots,
             (k, r),
-            |h| h.l1.fits(slots, k) && h.tlb.fits(slots, k),
-            |h| h.counts.l1 + h.counts.tlb,
-            |h, n| {
-                h.counts.refs += n;
-                h.l1.hits += n;
-                h.tlb.add_hits(n);
-            },
+            |c| c.l1.fits(slots, k),
+            |c| c.l1.misses,
+            |c, n| c.l1.hits += n,
         );
     }
 }
@@ -216,8 +219,7 @@ impl TraceSink for HierarchySink {
 
     fn record_batch(&mut self, batch: &TraceBatch<'_>) {
         // The hierarchy is boundary-blind.
-        self.hierarchy.replay_segments(batch, &mut self.segs);
-        replay(&mut self.hierarchy, batch, &self.segs);
+        self.hierarchy.record_batch(batch, &mut self.segs);
     }
 }
 
@@ -315,8 +317,7 @@ impl TraceSink for PhasedHierarchySink {
                     self.flush();
                     self.current = Some(phase);
                 }
-                self.hierarchy.replay_segments(batch, &mut self.segs);
-                return replay(&mut self.hierarchy, batch, &self.segs);
+                return self.hierarchy.record_batch(batch, &mut self.segs);
             }
         }
         for k in 0..batch.iters as i64 {

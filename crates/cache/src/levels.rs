@@ -44,11 +44,16 @@ use crate::sim::{Cache, CacheConfig, Victim};
 use gcr_exec::{AccessEvent, BatchSlot, TraceBatch, TraceSink};
 
 /// Ways per set up to which a level is a [`Cache`]: an MRU-ordered vector
-/// that a lookup scans. 64 is the widest geometry the scan is known to
-/// win at (the paper's fully associative TLB, which hits near the front);
-/// the hierarchy levels beyond it are `fa` levels of hundreds of ways,
-/// where every miss scans the whole set twice and memmoves it once.
-/// DESIGN.md §17 ADR 3 has the measurements.
+/// that a lookup scans. The hierarchy levels beyond it are `fa` levels of
+/// hundreds of ways, where every miss scans the whole set twice and
+/// memmoves it once. The threshold is not where the scan stops winning:
+/// at 64 ways it already loses on the 64-entry TLB, whose hits sit 7 to
+/// 11 entries deep on average in SP's fused versions (9.0 ns an access
+/// scanned, 4.5 ns on an [`LruSlab`] list, over the figure-10 streams),
+/// which is why [`crate::Tlb`] is a list. The levels this repository
+/// measures have at most 8 ways or are `fa` levels of 128 and up, so any
+/// threshold between them picks the same representation. DESIGN.md §17
+/// ADR 3 has the measurements.
 const WIDE_ASSOC: usize = 64;
 
 /// One level of a [`MultiLevelCache`]: the stat-neutral line-movement

@@ -27,9 +27,11 @@
 //! assert_eq!((c.hits, c.misses), (1, 2));
 //! ```
 //!
-//! [`MemoryHierarchy`] stacks L1/L2/TLB, [`HierarchySink`] feeds it from
-//! the interpreter's address trace, and [`PhasedHierarchySink`] splits the
-//! same totals per computation phase for the JSON reports.
+//! [`MemoryHierarchy`] stacks L1/L2 beside a TLB that shares no state
+//! with them, so its batch path replays the TLB per page and the L1→L2
+//! pair per L1 line; [`HierarchySink`] feeds it from the interpreter's
+//! address trace, and [`PhasedHierarchySink`] splits the same totals per
+//! computation phase for the JSON reports.
 //!
 //! This crate also owns "simulate one program version": [`simulate`] is the
 //! paper's measurement (scaled Origin2000 counters plus the cycle model)

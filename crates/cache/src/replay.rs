@@ -17,16 +17,22 @@
 //! [`Replay::segment`], where a sink applies its exact rule (DESIGN.md §17
 //! ADR 6 has the proofs):
 //!
-//! * (a) *all-hit* — the multi-level and the legacy hierarchy: once an
-//!   iteration repeats the previous line sequence without an L1 miss,
-//!   every later one is pure hits;
+//! * (a) *all-hit* — the multi-level hierarchy and the legacy one's
+//!   L1→L2 pair: once an iteration repeats the previous line sequence
+//!   without an L1 miss, every later one is pure hits;
 //! * (b) *delta, set-associative* — a [`crate::Cache`]'s tags and
 //!   recency order repeat after one iteration and its dirty bits after
 //!   two, so the third iteration's counts repeat; and when no set gets
 //!   more distinct lines of an iteration than it has ways, every
 //!   iteration after the first is pure hits;
-//! * (c) *delta, fully associative sweep* — the marker list repeats after
-//!   one iteration, so the second iteration's class counts repeat.
+//! * (c) *delta, fully associative* — the FA sweep's marker list, and the
+//!   legacy hierarchy's [`crate::Tlb`] at page granularity, repeat after
+//!   one iteration, so the second iteration's counts repeat.
+//!
+//! A simulator made of parts that never exchange state replays each part
+//! at its own granularity: the legacy hierarchy lists its segments twice
+//! per batch, once per TLB page for the TLB and once per L1 line for the
+//! L1→L2 pair.
 //!
 //! A segment a sink cannot use, and every iteration outside one, goes
 //! through the plain per-event expansion: the same calls the per-event

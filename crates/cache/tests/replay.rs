@@ -60,6 +60,33 @@ fn strips() -> impl Strategy<Value = Vec<Strip>> {
     })
 }
 
+/// 1–3 strips of 5–8 slots half a KiB apart, each on its own page of up
+/// to 256 bytes, with strides that keep them there for many iterations:
+/// more distinct pages per iteration than a 4-entry TLB holds, so the
+/// TLB's replay rule runs on a thrashing TLB.
+fn thrashing_strips() -> impl Strategy<Value = Vec<Strip>> {
+    let slot = (0u64..512, prop_oneof![Just(0i64), Just(8i64), Just(-8i64), Just(16i64)], 0u32..3);
+    vec((vec(slot, 5..9), 1u32..201), 1..4).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(slots, iters)| Strip {
+                slots: slots
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(a, s, w))| BatchSlot {
+                        addr: (1 << 20) + 512 * i as u64 + a,
+                        stride: s,
+                        array: ArrayId::from_index(0),
+                        ref_id: RefId::from_index(0),
+                        stmt: StmtId::from_index(0),
+                        is_write: w == 0,
+                    })
+                    .collect(),
+                iters,
+            })
+            .collect()
+    })
+}
+
 fn line() -> impl Strategy<Value = usize> {
     prop_oneof![Just(16usize), Just(32usize), Just(64usize)]
 }
@@ -82,8 +109,8 @@ fn both<S: TraceSink>(strips: &[Strip], make: impl Fn() -> S) -> (S, S) {
     (batched, per_event)
 }
 
-fn hierarchy(line: usize, page: usize) -> MemoryHierarchy {
-    MemoryHierarchy::new(cfg(8, line, 2), cfg(32, 2 * line, 2), Tlb::new(4, page))
+fn hierarchy(line: usize, (entries, page): (usize, usize)) -> MemoryHierarchy {
+    MemoryHierarchy::new(cfg(8, line, 2), cfg(32, 2 * line, 2), Tlb::new(entries, page))
 }
 
 /// Every counter of a legacy hierarchy, its caches' own included.
@@ -141,16 +168,23 @@ proptest! {
     }
 
     #[test]
-    fn legacy_hierarchies(strips in strips(), line in line()) {
-        // A 16-byte page is narrower than every L1 line but the first.
+    fn legacy_hierarchies(
+        strips in strips(),
+        thrashing in thrashing_strips(),
+        line in line(),
+    ) {
+        // A 16-byte page is narrower than every L1 line but the first; a
+        // page of four lines keeps a stride-8 slot on it 8 to 32
+        // iterations.
+        let strips: Vec<Strip> = strips.into_iter().chain(thrashing).collect();
         let prog = gcr_frontend::parse(PHASES).unwrap();
-        for page in [256, 16] {
-            let (b, e) = both(&strips, || HierarchySink::new(hierarchy(line, page)));
-            prop_assert_eq!(legacy_counts(&b.hierarchy), legacy_counts(&e.hierarchy));
+        for tlb in [(4, 256), (4, 16), (4, 4 * line), (64, 4 * line), (64, 16)] {
+            let (b, e) = both(&strips, || HierarchySink::new(hierarchy(line, tlb)));
+            prop_assert_eq!(legacy_counts(&b.hierarchy), legacy_counts(&e.hierarchy), "{:?}", tlb);
             let (mut b, mut e) =
-                both(&strips, || PhasedHierarchySink::new(hierarchy(line, page), &prog));
+                both(&strips, || PhasedHierarchySink::new(hierarchy(line, tlb), &prog));
             prop_assert_eq!(b.phases(), e.phases());
-            prop_assert_eq!(legacy_counts(&b.hierarchy), legacy_counts(&e.hierarchy));
+            prop_assert_eq!(legacy_counts(&b.hierarchy), legacy_counts(&e.hierarchy), "{:?}", tlb);
         }
     }
 

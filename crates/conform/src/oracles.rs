@@ -13,11 +13,12 @@
 //! | [`Oracle::Profile`]  | reuse profiles are internally consistent | histogram masses |
 //! | [`Oracle::Bound`]    | fused reuse distances are `O(k·m)`, size-independent | max exact distance at two sizes |
 //! | [`Oracle::Static`]   | analytic miss model ≡ trace simulation at unseen sizes | miss counts per capacity and array, by construct class |
-//! | [`Oracle::Assoc`]    | single-set set-associative ≡ fully-associative sweep ≡ single-level `fa` hierarchy; per-set stack inclusion; VM batches ≡ interpreter events at N = 12 and 40 | exact miss counts; every set-associative, FA and two-level counter |
+//! | [`Oracle::Assoc`]    | single-set set-associative ≡ fully-associative sweep ≡ single-level `fa` hierarchy; per-set stack inclusion; VM batches ≡ interpreter events at N = 12 and 40 | exact miss counts; every set-associative, FA, two-level and legacy L1/L2/TLB counter, the legacy one per phase too |
 
 use gcr_cache::{
-    AssocResult, AssocSweepSink, Cache, CacheConfig, CapacitySweepSink, Inclusion, MultiLevelCache,
-    MultiLevelCounts, MultiLevelSink, MultiLevelSweepSink, Prefetch,
+    AssocResult, AssocSweepSink, Cache, CacheConfig, CapacitySweepSink, Inclusion, MemoryHierarchy,
+    MissCounts, MultiLevelCache, MultiLevelCounts, MultiLevelSink, MultiLevelSweepSink,
+    PhasedHierarchySink, Prefetch, Tlb,
 };
 use gcr_core::checked::{optimize_checked, values_match, Pass, SafetyOptions};
 use gcr_core::OptimizeOptions;
@@ -785,6 +786,8 @@ struct AssocRun {
     sa: Vec<AssocResult>,
     single_level: Vec<MultiLevelCounts>,
     two_level: MultiLevelCounts,
+    legacy: MissCounts,
+    legacy_phases: Vec<(String, MissCounts)>,
 }
 
 /// Oracle 7, engine-parameterized so the corpus replay can pin both
@@ -802,9 +805,11 @@ struct AssocRun {
 /// Both hold on the `engine` run at N = 12 and at N = 40, where strips
 /// are long enough for the batch paths' whole-iteration replay to skip
 /// work. At each size the run is also held, counter for counter (every
-/// configuration's [`AssocResult`], the FA sweep, and a two-level
-/// inclusive [`MultiLevelSink`]), to the same run under the other engine:
-/// the VM's batches against the interpreter's single events.
+/// configuration's [`AssocResult`], the FA sweep, a two-level inclusive
+/// [`MultiLevelSink`], and a [`PhasedHierarchySink`] over a legacy
+/// [`MemoryHierarchy`] whose 2–8-entry TLB has pages below or above the
+/// line, totals and phases), to the same run under the other engine: the
+/// VM's batches against the interpreter's single events.
 pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
     let mut rng = crate::rng::Rng::new(
         0x5e7a_550c
@@ -816,7 +821,7 @@ pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
     let mut caps: Vec<u64> = (0..3).map(|_| line * rng.range(1, 96) as u64).collect();
     caps.sort_unstable();
     caps.dedup();
-    let sets = 1usize << rng.range(1, 4); // 2, 4 or 8 sets
+    let sets = 1usize << rng.range(1, 4); // 2 to 16 sets
     let max_ways = 4usize;
 
     // Single-set geometries first (index-aligned with `caps`), then the
@@ -837,6 +842,9 @@ pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
         CacheConfig { size: l1, line: line as usize, assoc: 2 },
         CacheConfig { size: 8 * l1, line: l2, assoc: 4 },
     ];
+    // The same caches as a legacy hierarchy, beside a TLB with pages of
+    // half a line up to eight lines.
+    let tlb = (rng.range(2, 8) as usize, (line as usize / 2) << rng.range(0, 4));
 
     let other = match engine {
         ExecEngine::Vm => ExecEngine::Interp,
@@ -859,15 +867,22 @@ pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
                 Inclusion::Inclusive,
                 Prefetch::None,
             ));
+            let mut legacy = PhasedHierarchySink::new(
+                MemoryHierarchy::new(two_level[0], two_level[1], Tlb::new(tlb.0, tlb.1)),
+                prog,
+            );
             let mut sweeps = gcr_exec::Tee { a: &mut fa, b: &mut sa };
             let mut models = gcr_exec::Tee { a: &mut ml, b: &mut two };
+            let mut all = gcr_exec::Tee { a: &mut sweeps, b: &mut models };
             let mut m = Machine::new(prog, ParamBinding::new(vec![n; prog.params.len()]))
                 .with_engine(engine);
-            m.run_steps_guarded(&mut gcr_exec::Tee { a: &mut sweeps, b: &mut models }, 2, FUEL)
+            m.run_steps_guarded(&mut gcr_exec::Tee { a: &mut all, b: &mut legacy }, 2, FUEL)
                 .map_err(|e| format!("N={n} run failed under {engine:?}: {e}"))?;
-            if fa.refs() != sa.refs() {
+            let legacy_refs = legacy.hierarchy.counts().refs;
+            if fa.refs() != sa.refs() || fa.refs() != legacy_refs {
                 return Err(format!(
-                    "N={n}: FA sweep saw {} refs, set-associative sweep {}",
+                    "N={n}: FA sweep saw {} refs, set-associative sweep {}, legacy hierarchy \
+                     {legacy_refs}",
                     fa.refs(),
                     sa.refs()
                 ));
@@ -878,6 +893,8 @@ pub fn assoc_parity(prog: &Program, engine: ExecEngine) -> Result<(), String> {
                 sa: sa.results(),
                 single_level: ml.counts(),
                 two_level: two.model.counts(),
+                legacy: legacy.hierarchy.counts(),
+                legacy_phases: legacy.phases(),
             })
         };
         let here = run(engine)?;
