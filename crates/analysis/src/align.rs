@@ -21,7 +21,7 @@
 //!
 //! Cross-dimension (transposed) conflicts are conservatively infusible —
 //! the paper handles the one program needing it (Tomcatv) by a hand loop
-//! interchange, which our pipeline performs as a preliminary step.
+//! interchange, and the bundled Tomcatv is authored in that order.
 
 use crate::access::AccessKind;
 use crate::footprint::DimSet;

@@ -1,7 +1,8 @@
 //! Fail-safe pipeline driver: [`optimize_checked`] runs the same passes as
-//! [`crate::pipeline::optimize`], but validates the program and re-runs a
-//! differential semantic oracle after every pass, rolling back to the last
-//! good program and degrading to a weaker strategy when anything goes wrong.
+//! [`crate::pipeline::optimize`], validates the program after every pass,
+//! and runs a differential semantic oracle against the original, rolling
+//! back to the last good program and degrading to a weaker strategy when
+//! anything goes wrong.
 //!
 //! The degradation ladder follows the strength ordering of the paper's
 //! evaluation strategies:
@@ -17,6 +18,15 @@
 //! * a fusion fault at a deeper level keeps the shallower levels already
 //!   proven good and stops fusing deeper;
 //! * **preliminary** pass faults skip the pass.
+//!
+//! The oracle runs on what is delivered. The ladder first runs *deferred*:
+//! each pass's checkpoint validates the IR (and counts in
+//! [`RobustnessReport::checks`]) but executes nothing. The delivered
+//! program is then executed once per oracle size, under its own layout.
+//! Only when a pass failed or that run disagrees with the reference is the
+//! ladder replayed *per pass*, executing every intermediate program, and
+//! that replay alone decides the fallbacks, the strict-mode error and the
+//! pass trace. DESIGN.md §17, ADR 8, gives the exactness argument.
 //!
 //! Every rollback is recorded in a [`RobustnessReport`] carried on the
 //! returned [`OptimizedProgram`], so drivers can print exactly what was
@@ -43,8 +53,6 @@ pub use gcr_exec::DEFAULT_MAX_BYTES;
 /// A pipeline pass, as identified in fallback records and fault injection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pass {
-    /// Loop interchange (`orient_nests`).
-    Orient,
     /// Preliminary transformations (unroll/split/distribute/fold).
     Prelim,
     /// Reuse-based fusion of one loop level.
@@ -61,7 +69,6 @@ pub enum Pass {
 impl std::fmt::Display for Pass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Pass::Orient => write!(f, "orient"),
             Pass::Prelim => write!(f, "prelim"),
             Pass::Fusion { level } => write!(f, "fusion@{level}"),
             Pass::Regroup => write!(f, "regroup"),
@@ -88,8 +95,10 @@ pub struct Fallback {
 pub struct RobustnessReport {
     /// Every degradation step, in order.
     pub fallbacks: Vec<Fallback>,
-    /// Post-pass checkpoints executed (validation, plus the oracle when
-    /// enabled).
+    /// Post-pass checkpoints of the ladder that delivered the program, one
+    /// per attempted pass. Each validates the IR; the oracle executes the
+    /// delivered program once, and each intermediate program only when the
+    /// ladder is replayed per pass (see the [module docs](self)).
     pub checks: usize,
     /// Label of the strategy actually delivered.
     pub strategy: String,
@@ -139,8 +148,9 @@ pub struct SafetyOptions {
     /// strict), the pipeline stops at the last good program without trying
     /// weaker rungs.
     pub fallback: bool,
-    /// Run the differential oracle after each pass (otherwise checkpoints
-    /// only validate structure).
+    /// Run the differential oracle on the delivered program, and after
+    /// each pass when the ladder is replayed (otherwise checkpoints only
+    /// validate structure).
     pub oracle: bool,
     /// Value bound to every size parameter for oracle runs.
     pub oracle_n: i64,
@@ -224,6 +234,12 @@ struct Checker<'p> {
     /// [`RobustnessReport::oracle_disabled`]).
     oracle_disabled: Option<GcrError>,
     checks: usize,
+    /// Checkpoints validate and count but execute nothing; the oracle runs
+    /// once, on the delivered program ([`Checker::check_delivered`]).
+    deferred: bool,
+    /// Candidate executions, one per oracle size a program is run at.
+    #[cfg_attr(not(test), allow(dead_code))]
+    runs: usize,
 }
 
 // The panic-containment helpers moved to `gcr_par::isolate` so the ladder
@@ -340,7 +356,15 @@ fn build_oracle(prog: &Program, safety: &SafetyOptions) -> Result<Option<Oracle>
 
 impl<'p> Checker<'p> {
     fn new(reference: &'p Program, safety: &SafetyOptions) -> Self {
-        Checker { safety: *safety, reference, oracle: None, oracle_disabled: None, checks: 0 }
+        Checker {
+            safety: *safety,
+            reference,
+            oracle: None,
+            oracle_disabled: None,
+            checks: 0,
+            deferred: false,
+            runs: 0,
+        }
     }
 
     /// Runs the reference ahead of the first checkpoint. `Err` only under
@@ -361,14 +385,15 @@ impl<'p> Checker<'p> {
         Ok(())
     }
 
-    /// Moves the checkpoint bookkeeping into the pipeline's report.
-    fn finish(self, report: &mut RobustnessReport) {
-        report.checks = self.checks;
-        report.oracle_disabled = self.oracle_disabled;
+    /// Moves the checkpoint count into the pipeline's report and starts a
+    /// fresh one; the reference runs stay for a replay.
+    fn finish(&mut self, report: &mut RobustnessReport) {
+        report.checks = std::mem::take(&mut self.checks);
+        report.oracle_disabled = self.oracle_disabled.clone();
     }
 
-    /// Validates `prog` and, when the oracle is on, executes it under
-    /// `mk_layout` and compares every array against the reference.
+    /// Validates `prog` and, unless deferred, runs the oracle on it under
+    /// `mk_layout`.
     fn check(
         &mut self,
         stage: &str,
@@ -378,11 +403,33 @@ impl<'p> Checker<'p> {
         self.checks += 1;
         gcr_ir::validate::validate(prog)
             .map_err(|errors| GcrError::Validate { stage: stage.to_string(), errors })?;
+        if self.deferred {
+            return Ok(());
+        }
+        self.execute(stage, prog, mk_layout)
+    }
+
+    /// The deferred ladder's one oracle run: the delivered program under
+    /// the layout it is delivered with.
+    fn check_delivered(&mut self, opt: &OptimizedProgram) -> Result<(), GcrError> {
+        self.execute("delivered", &opt.program, &|_: &Program, b: &ParamBinding| opt.layout(b))
+    }
+
+    /// When the oracle is on, executes `prog` under `mk_layout` at every
+    /// oracle size and compares every array against the reference.
+    fn execute(
+        &mut self,
+        stage: &str,
+        prog: &Program,
+        mk_layout: &dyn Fn(&Program, &ParamBinding) -> DataLayout,
+    ) -> Result<(), GcrError> {
         let Some(Some(o)) = &self.oracle else { return Ok(()) };
+        let runs = &mut self.runs;
         let max_bytes = self.safety.max_bytes();
         let run = quiet_panics(|| {
             catch_unwind(AssertUnwindSafe(|| -> Result<(), GcrError> {
                 for r in &o.runs {
+                    *runs += 1;
                     let layout = mk_layout(prog, &r.binding);
                     let mut m =
                         Machine::try_with_layout(prog, r.binding.clone(), layout, Some(max_bytes))?;
@@ -604,8 +651,46 @@ pub fn optimize_checked_traced(
 ) -> Result<OptimizedProgram, GcrError> {
     gcr_ir::validate::validate(prog)
         .map_err(|errors| GcrError::Validate { stage: "input".into(), errors })?;
+    check_delivered_or_replay(prog, opts, safety, &mut Checker::new(prog, safety), tracer)
+}
+
+/// Runs the ladder deferred and the oracle once on what it delivers. When
+/// a pass failed or that run disagrees with the reference, the result and
+/// its trace are discarded and the ladder is replayed per pass, reusing
+/// the reference runs: only the replay decides fallbacks and errors.
+fn check_delivered_or_replay(
+    prog: &Program,
+    opts: &OptimizeOptions,
+    safety: &SafetyOptions,
+    checker: &mut Checker<'_>,
+    tracer: &mut Tracer,
+) -> Result<OptimizedProgram, GcrError> {
+    let mark = tracer.events().len();
+    checker.deferred = true;
+    match drive(prog, opts, safety, checker, tracer) {
+        Ok(opt) if !opt.robustness.degraded() && checker.check_delivered(&opt).is_ok() => {
+            return Ok(opt)
+        }
+        // The reference itself failed under strict mode, before any pass
+        // ran: the per-pass ladder stops at the same point.
+        Err(e) if checker.oracle.is_none() => return Err(e),
+        _ => {}
+    }
+    tracer.truncate(mark);
+    checker.deferred = false;
+    drive(prog, opts, safety, checker, tracer)
+}
+
+/// The degradation ladder over `prog`, checkpointed by `checker` in its
+/// current mode.
+fn drive(
+    prog: &Program,
+    opts: &OptimizeOptions,
+    safety: &SafetyOptions,
+    checker: &mut Checker<'_>,
+    tracer: &mut Tracer,
+) -> Result<OptimizedProgram, GcrError> {
     let mut report = RobustnessReport::default();
-    let mut checker = Checker::new(prog, safety);
     let mut program = prog.clone();
 
     let mut want_levels = if opts.fusion { opts.fusion_opts.max_levels } else { 0 };
@@ -617,37 +702,8 @@ pub fn optimize_checked_traced(
     let mut fusion_rep = FusionReport::default();
     let mut baseline_rep = BaselineReport::default();
 
-    // A failure of a pass that is merely preparatory (orient, prelim) skips
-    // the pass without changing the strategy.
-    let skip_or_stop = |pass: Pass,
-                        cause: GcrError,
-                        report: &mut RobustnessReport,
-                        stopped: &mut bool|
-     -> Result<(), GcrError> {
-        if safety.strict {
-            return Err(cause);
-        }
-        let here = state_label(want_levels, want_regroup, rl, baseline);
-        report.fallbacks.push(Fallback { pass, from: here.clone(), to: here, cause });
-        if !safety.fallback {
-            *stopped = true;
-        }
-        Ok(())
-    };
-
-    if opts.orient && !stopped {
-        if let Err(cause) =
-            attempt(&mut program, &mut checker, tracer, Pass::Orient, &default_layout, |p| {
-                crate::interchange::orient_nests(p);
-                Ok(())
-            })
-        {
-            skip_or_stop(Pass::Orient, cause, &mut report, &mut stopped)?;
-        }
-    }
-
-    if opts.prelim && !stopped {
-        match attempt(&mut program, &mut checker, tracer, Pass::Prelim, &default_layout, |p| {
+    if opts.prelim {
+        match attempt(&mut program, checker, tracer, Pass::Prelim, &default_layout, |p| {
             Ok(preliminary(p, opts.small_dim_limit))
         }) {
             Ok(rep) => {
@@ -659,7 +715,21 @@ pub fn optimize_checked_traced(
                 });
                 prelim_rep = rep;
             }
-            Err(cause) => skip_or_stop(Pass::Prelim, cause, &mut report, &mut stopped)?,
+            // A failure of the merely preparatory pass skips it without
+            // changing the strategy.
+            Err(cause) => {
+                if safety.strict {
+                    return Err(cause);
+                }
+                let here = state_label(want_levels, want_regroup, rl, baseline);
+                report.fallbacks.push(Fallback {
+                    pass: Pass::Prelim,
+                    from: here.clone(),
+                    to: here,
+                    cause,
+                });
+                stopped = !safety.fallback;
+            }
         }
     }
 
@@ -669,7 +739,7 @@ pub fn optimize_checked_traced(
         while level <= want_levels && !stopped {
             let res = attempt(
                 &mut program,
-                &mut checker,
+                checker,
                 tracer,
                 Pass::Fusion { level },
                 &default_layout,
@@ -724,7 +794,7 @@ pub fn optimize_checked_traced(
                             });
                             match attempt(
                                 &mut program,
-                                &mut checker,
+                                checker,
                                 tracer,
                                 Pass::Baseline,
                                 &default_layout,
@@ -771,7 +841,7 @@ pub fn optimize_checked_traced(
         let regroup_opts = opts.regroup_opts;
         let res = attempt(
             &mut program,
-            &mut checker,
+            checker,
             tracer,
             Pass::Regroup,
             &{
@@ -903,4 +973,163 @@ pub fn apply_strategy_checked_traced(
         });
     }
     optimize_checked_traced(prog, &strategy.options(), safety, tracer)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::regroup::RegroupLevel;
+
+    const FULL: Strategy = Strategy::FusionRegroup { levels: 3, regroup: RegroupLevel::Multi };
+
+    const SRC: &str = "
+program ladder
+param N
+array A[N, N], B[N, N], C[N, N]
+
+for i = 2, N - 1 {
+  for j = 2, N - 1 {
+    A[j, i] = 0.25 * (A[j-1, i] + A[j+1, i] + B[j, i-1] + B[j, i+1])
+  }
+}
+for i = 2, N - 1 {
+  for j = 2, N - 1 {
+    B[j, i] = f(A[j, i])
+  }
+}
+for i = 2, N - 1 {
+  for j = 2, N - 1 {
+    C[j, i] = g(B[j, i], C[j, i])
+  }
+}
+";
+
+    /// The ladder checked pass by pass from the start, with no deferred
+    /// attempt: the reference [`optimize_checked_traced`] must agree with.
+    fn per_pass(
+        prog: &Program,
+        opts: &OptimizeOptions,
+        safety: &SafetyOptions,
+        tracer: &mut Tracer,
+    ) -> Result<OptimizedProgram, GcrError> {
+        gcr_ir::validate::validate(prog)
+            .map_err(|errors| GcrError::Validate { stage: "input".into(), errors })?;
+        drive(prog, opts, safety, &mut Checker::new(prog, safety), tracer)
+    }
+
+    /// Everything a run delivers, with the pass trace's timings zeroed.
+    fn outcome(res: Result<OptimizedProgram, GcrError>, tracer: Tracer) -> String {
+        let mut events = tracer.into_events();
+        for e in &mut events {
+            e.wall_ns = 0;
+        }
+        format!("{res:#?}\n{events:#?}")
+    }
+
+    fn loop_files() -> Vec<std::path::PathBuf> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        for dir in ["examples", "crates/conform/corpus"] {
+            for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+                let path = entry.unwrap().path();
+                if path.extension().is_some_and(|x| x == "loop") {
+                    files.push(path);
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn deferred_check_delivers_what_the_per_pass_ladder_delivers() {
+        let files = loop_files();
+        assert!(files.len() >= 30, "{files:?}");
+        let strategies = [
+            Strategy::FusionOnly { levels: 1 },
+            Strategy::FusionOnly { levels: 3 },
+            FULL,
+            Strategy::RegroupOnly,
+        ];
+        let faults = [
+            None,
+            Some(Pass::Prelim),
+            Some(Pass::Fusion { level: 1 }),
+            Some(Pass::Fusion { level: 2 }),
+            Some(Pass::Fusion { level: 3 }),
+            Some(Pass::Regroup),
+        ];
+        for path in &files {
+            let src = std::fs::read_to_string(path).unwrap();
+            let prog = gcr_frontend::parse(&src).unwrap();
+            for strategy in strategies {
+                let opts = strategy.options();
+                for inject_fault in faults {
+                    for strict in [false, true] {
+                        let safety = SafetyOptions { strict, inject_fault, ..Default::default() };
+                        let mut t1 = Tracer::enabled();
+                        let deferred = optimize_checked_traced(&prog, &opts, &safety, &mut t1);
+                        let mut t2 = Tracer::enabled();
+                        let replayed = per_pass(&prog, &opts, &safety, &mut t2);
+                        assert_eq!(
+                            outcome(deferred, t1),
+                            outcome(replayed, t2),
+                            "{} {strategy:?} {inject_fault:?} strict {strict}",
+                            path.display()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_clean_pipeline_executes_its_candidate_once_per_oracle_size() {
+        let prog = gcr_frontend::parse(SRC).unwrap();
+        let safety = SafetyOptions::default();
+        let opts = FULL.options();
+        let mut checker = Checker::new(&prog, &safety);
+        let opt =
+            check_delivered_or_replay(&prog, &opts, &safety, &mut checker, &mut Tracer::disabled())
+                .unwrap();
+        assert_eq!(opt.robustness.strategy, "fuse3+group");
+        assert_eq!(opt.robustness.checks, 5, "prelim, fusion@1..3 and regroup");
+        assert_eq!(checker.runs, 2);
+        // Per pass, each of the five checkpoints runs it at both sizes.
+        let mut checker = Checker::new(&prog, &safety);
+        drive(&prog, &opts, &safety, &mut checker, &mut Tracer::disabled()).unwrap();
+        assert_eq!(checker.runs, 10);
+    }
+
+    #[test]
+    fn a_failed_deferred_check_replays_the_ladder_per_pass() {
+        let prog = gcr_frontend::parse(SRC).unwrap();
+        let safety =
+            SafetyOptions { inject_fault: Some(Pass::Fusion { level: 2 }), ..Default::default() };
+        let opts = FULL.options();
+        let mut checker = Checker::new(&prog, &safety);
+        let opt =
+            check_delivered_or_replay(&prog, &opts, &safety, &mut checker, &mut Tracer::disabled())
+                .unwrap();
+        assert_eq!(opt.robustness.strategy, "fuse1+group");
+        assert_eq!(opt.robustness.checks, 4, "prelim, fusion@1, fusion@2 and regroup");
+        // The deferred check stops at the first size that mismatches (1);
+        // the replay runs prelim, fusion@1 and regroup at both sizes and
+        // the faulty fusion@2 at the first (2 + 2 + 1 + 2).
+        assert_eq!(checker.runs, 1 + 7);
+    }
+
+    #[test]
+    fn the_original_strategy_executes_nothing() {
+        let prog = gcr_frontend::parse(SRC).unwrap();
+        let safety = SafetyOptions::default();
+        let mut checker = Checker::new(&prog, &safety);
+        let opts = Strategy::Original.options();
+        let opt =
+            check_delivered_or_replay(&prog, &opts, &safety, &mut checker, &mut Tracer::disabled())
+                .unwrap();
+        assert_eq!(opt.robustness.checks, 0);
+        assert_eq!(checker.runs, 0);
+        assert!(checker.oracle.is_none(), "no pass, so no reference run either");
+    }
 }

@@ -17,8 +17,7 @@
 //!    outermost, emitting an interleaved [`gcr_exec::DataLayout`].
 //!
 //! [`prelim`] holds the Section 4.1 preliminary passes (loop distribution,
-//! array splitting + loop unrolling, constant folding); [`interchange`]
-//! automates the paper's hand "level ordering" (loop interchange);
+//! array splitting + loop unrolling, constant folding);
 //! [`baseline`] the conservative fusion + padding stand-in for the SGI
 //! MIPSpro compiler; [`pipeline`] the end-to-end driver.
 //!
@@ -55,7 +54,6 @@
 pub mod baseline;
 pub mod checked;
 pub mod fusion;
-pub mod interchange;
 pub mod pipeline;
 pub mod prelim;
 pub mod regroup;

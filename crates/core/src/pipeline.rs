@@ -18,11 +18,6 @@ use gcr_ir::{ParamBinding, Program};
 /// Pipeline options.
 #[derive(Clone, Copy, Debug)]
 pub struct OptimizeOptions {
-    /// Re-orient transposed two-deep nests before fusion (the paper's hand
-    /// "level ordering" for Tomcatv, automated). Off by default: the
-    /// bundled kernels are authored post-interchange, like the code the
-    /// paper's compiler saw.
-    pub orient: bool,
     /// Run the preliminary passes (unroll/split/distribute/fold).
     pub prelim: bool,
     /// Small-dimension limit for unrolling and array splitting.
@@ -40,7 +35,6 @@ pub struct OptimizeOptions {
 impl Default for OptimizeOptions {
     fn default() -> Self {
         OptimizeOptions {
-            orient: false,
             prelim: true,
             small_dim_limit: 8,
             fusion: true,
@@ -185,9 +179,6 @@ impl OptimizedProgram {
 /// Runs the pipeline.
 pub fn optimize(prog: &Program, opts: &OptimizeOptions) -> OptimizedProgram {
     let mut program = prog.clone();
-    if opts.orient {
-        crate::interchange::orient_nests(&mut program);
-    }
     let prelim_rep = if opts.prelim {
         preliminary(&mut program, opts.small_dim_limit)
     } else {

@@ -57,7 +57,7 @@ impl IrSize {
 /// One recorded pipeline pass.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PassEvent {
-    /// Pass label (`orient`, `prelim`, `fusion@1`, `regroup`, `baseline`).
+    /// Pass label (`prelim`, `fusion@1`, `regroup`, `baseline`).
     pub pass: String,
     /// Whether the pass's checkpoint accepted the result. A `false` event
     /// means the program was rolled back to its pre-pass state (the
@@ -157,6 +157,13 @@ impl Tracer {
                 ev.detail.push_str("; ");
                 ev.detail.push_str(&extra);
             }
+        }
+    }
+
+    /// Drops the events recorded after the first `len`.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if let Some(events) = &mut self.events {
+            events.truncate(len);
         }
     }
 
