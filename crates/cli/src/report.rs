@@ -620,18 +620,12 @@ impl Report {
         opt: &OptimizedProgram,
         trace: Vec<PassEvent>,
     ) -> Report {
-        let requested = requested.into();
-        let delivered = if opt.robustness.strategy.is_empty() {
-            requested.clone()
-        } else {
-            opt.robustness.strategy.clone()
-        };
         Report {
             generator: generator.into(),
             program: ProgramInfo::of(input),
             output: ProgramInfo::of(&opt.program),
-            requested,
-            delivered,
+            requested: requested.into(),
+            delivered: opt.robustness.strategy.clone(),
             checks: opt.robustness.checks,
             oracle_disabled: opt.robustness.oracle_disabled.as_ref().map(|e| e.to_string()),
             trace,

@@ -1,8 +1,11 @@
-//! Fail-safe pipeline driver: [`optimize_checked`] runs the same passes as
-//! [`crate::pipeline::optimize`], validates the program after every pass,
-//! and runs a differential semantic oracle against the original, rolling
-//! back to the last good program and degrading to a weaker strategy when
-//! anything goes wrong.
+//! The optimizer's one pass sequence, in Section 4.1's order (preliminary
+//! passes → reuse-based fusion level by level → multi-level regrouping),
+//! run as a degradation ladder. [`optimize_checked`] validates
+//! the program after every pass and runs a differential semantic oracle
+//! against the original, rolling back to the last good program and
+//! degrading to a weaker strategy when anything goes wrong.
+//! [`apply_strategy`] runs the same ladder with the oracle off: its
+//! checkpoints validate the IR and execute nothing.
 //!
 //! The degradation ladder follows the strength ordering of the paper's
 //! evaluation strategies:
@@ -19,6 +22,8 @@
 //!   proven good and stops fusing deeper;
 //! * **preliminary** pass faults skip the pass.
 //!
+//! [`Strategy::Sgi`] enters the ladder at the baseline rung.
+//!
 //! The oracle runs on what is delivered. The ladder first runs *deferred*:
 //! each pass's checkpoint validates the IR (and counts in
 //! [`RobustnessReport::checks`]) but executes nothing. The delivered
@@ -33,10 +38,10 @@
 //! given up and why.
 
 use crate::baseline::{baseline_fuse, BaselineReport, BASELINE_PAD_BYTES};
-use crate::fusion::{fuse_one_level, loops_per_level, FusionReport};
+use crate::fusion::{fuse_one_level, loops_per_level, merge_fusion, FusionReport};
 use crate::pipeline::{OptimizeOptions, OptimizedProgram, Strategy};
 use crate::prelim::{preliminary, PrelimReport};
-use crate::regroup::{self, RegroupLevel, RegroupPlan, RegroupReport};
+use crate::regroup::{self, RegroupLevel, RegroupReport};
 use crate::trace::{IrSize, PassEvent, Tracer};
 use gcr_exec::{DataLayout, Machine, NullSink};
 use gcr_ir::{ArrayId, BinOp, Expr, GcrError, GuardedStmt, ParamBinding, Program, Resource, Stmt};
@@ -62,7 +67,8 @@ pub enum Pass {
     },
     /// Multi-level data regrouping.
     Regroup,
-    /// The SGI-like conservative baseline (fallback rung only).
+    /// The SGI-like conservative baseline: the fallback rung below fusion,
+    /// and where [`Strategy::Sgi`] enters the ladder.
     Baseline,
 }
 
@@ -567,23 +573,19 @@ fn default_layout(prog: &Program, binding: &ParamBinding) -> DataLayout {
     DataLayout::column_major(prog, binding, 0)
 }
 
-/// Label of the strategy a (levels, regroup, baseline) state delivers,
-/// matching [`Strategy::label`].
-fn state_label(
-    levels: usize,
-    regroup: bool,
-    regroup_level: RegroupLevel,
-    baseline: bool,
-) -> String {
+/// Label of the strategy a (levels, regroup, baseline) state of the ladder
+/// over `opts` delivers, matching [`Strategy::label`].
+fn state_label(opts: &OptimizeOptions, levels: usize, regroup: bool, baseline: bool) -> String {
     if baseline {
         return "sgi-like".into();
     }
     match (levels, regroup) {
         (0, false) => "original".into(),
         (0, true) => "group-only".into(),
+        (n, false) if !opts.fusion_opts.align => format!("fuse{n}-noalign"),
         (n, false) => format!("fuse{n}"),
         (n, true) => {
-            let suffix = match regroup_level {
+            let suffix = match opts.regroup_opts.level {
                 RegroupLevel::Multi => "+group",
                 RegroupLevel::ElementOnly => "+elem",
                 RegroupLevel::AvoidInnermost => "+outer",
@@ -593,23 +595,7 @@ fn state_label(
     }
 }
 
-fn merge_fusion(total: &mut FusionReport, level: usize, rep: FusionReport) {
-    if total.fused.len() < level {
-        total.fused.resize(level, 0);
-    }
-    total.fused[level - 1] += rep.fused.iter().sum::<usize>();
-    total.embedded += rep.embedded;
-    total.peeled += rep.peeled;
-    total.loops_after = rep.loops_after;
-    for w in rep.infusible {
-        if !total.infusible.contains(&w) {
-            total.infusible.push(w);
-        }
-    }
-    total.budget_exhausted |= rep.budget_exhausted;
-}
-
-/// The fail-safe counterpart of [`crate::pipeline::optimize`].
+/// The checked optimizer: the ladder over the passes `opts` enables.
 ///
 /// Fatal errors (`Err`) are limited to: an invalid *input* program and,
 /// under [`SafetyOptions::strict`], a failure to execute the *original*
@@ -649,9 +635,53 @@ pub fn optimize_checked_traced(
     safety: &SafetyOptions,
     tracer: &mut Tracer,
 ) -> Result<OptimizedProgram, GcrError> {
+    run(prog, opts, Start::Top, safety, tracer)
+}
+
+/// Where [`drive`] enters the ladder.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Start {
+    /// At the top: the passes the options enable, in order.
+    Top,
+    /// At the SGI-like baseline rung.
+    Baseline,
+}
+
+impl Start {
+    fn of(strategy: Strategy) -> Start {
+        if strategy == Strategy::Sgi {
+            Start::Baseline
+        } else {
+            Start::Top
+        }
+    }
+}
+
+/// Validates the input, then runs the ladder from `start`.
+fn run(
+    prog: &Program,
+    opts: &OptimizeOptions,
+    start: Start,
+    safety: &SafetyOptions,
+    tracer: &mut Tracer,
+) -> Result<OptimizedProgram, GcrError> {
     gcr_ir::validate::validate(prog)
         .map_err(|errors| GcrError::Validate { stage: "input".into(), errors })?;
-    check_delivered_or_replay(prog, opts, safety, &mut Checker::new(prog, safety), tracer)
+    check_delivered_or_replay(prog, opts, start, safety, &mut Checker::new(prog, safety), tracer)
+}
+
+/// Produces the program version for a named strategy: the ladder of
+/// [`apply_strategy_checked`] with the oracle off, so every pass is
+/// validated and none executed. A pass that emits invalid IR is rolled
+/// back and recorded in [`OptimizedProgram::robustness`]. Infallible,
+/// because only strict mode turns a pass failure into an error.
+pub fn apply_strategy(prog: &Program, strategy: Strategy) -> OptimizedProgram {
+    let safety = SafetyOptions { oracle: false, ..SafetyOptions::default() };
+    let mut checker = Checker::new(prog, &safety);
+    checker.deferred = true;
+    let opts = strategy.options();
+    drive(prog, &opts, Start::of(strategy), &safety, &mut checker, &mut Tracer::disabled())
+        .expect("the ladder fails only in strict mode")
 }
 
 /// Runs the ladder deferred and the oracle once on what it delivers. When
@@ -661,13 +691,14 @@ pub fn optimize_checked_traced(
 fn check_delivered_or_replay(
     prog: &Program,
     opts: &OptimizeOptions,
+    start: Start,
     safety: &SafetyOptions,
     checker: &mut Checker<'_>,
     tracer: &mut Tracer,
 ) -> Result<OptimizedProgram, GcrError> {
     let mark = tracer.events().len();
     checker.deferred = true;
-    match drive(prog, opts, safety, checker, tracer) {
+    match drive(prog, opts, start, safety, checker, tracer) {
         Ok(opt) if !opt.robustness.degraded() && checker.check_delivered(&opt).is_ok() => {
             return Ok(opt)
         }
@@ -678,14 +709,15 @@ fn check_delivered_or_replay(
     }
     tracer.truncate(mark);
     checker.deferred = false;
-    drive(prog, opts, safety, checker, tracer)
+    drive(prog, opts, start, safety, checker, tracer)
 }
 
-/// The degradation ladder over `prog`, checkpointed by `checker` in its
-/// current mode.
+/// The degradation ladder over `prog` from `start`, checkpointed by
+/// `checker` in its current mode.
 fn drive(
     prog: &Program,
     opts: &OptimizeOptions,
+    start: Start,
     safety: &SafetyOptions,
     checker: &mut Checker<'_>,
     tracer: &mut Tracer,
@@ -695,12 +727,14 @@ fn drive(
 
     let mut want_levels = if opts.fusion { opts.fusion_opts.max_levels } else { 0 };
     let mut want_regroup = opts.regroup;
-    let rl = opts.regroup_opts.level;
-    let mut baseline = false;
+    let mut baseline: Option<BaselineReport> = None;
     let mut stopped = false;
     let mut prelim_rep = PrelimReport::default();
     let mut fusion_rep = FusionReport::default();
-    let mut baseline_rep = BaselineReport::default();
+
+    if start == Start::Baseline {
+        baseline = baseline_rung(&mut program, checker, tracer, safety, &mut report)?;
+    }
 
     if opts.prelim {
         match attempt(&mut program, checker, tracer, Pass::Prelim, &default_layout, |p| {
@@ -721,7 +755,7 @@ fn drive(
                 if safety.strict {
                     return Err(cause);
                 }
-                let here = state_label(want_levels, want_regroup, rl, baseline);
+                let here = state_label(opts, want_levels, want_regroup, baseline.is_some());
                 report.fallbacks.push(Fallback {
                     pass: Pass::Prelim,
                     from: here.clone(),
@@ -771,7 +805,7 @@ fn drive(
                     if safety.strict {
                         return Err(cause);
                     }
-                    let from = state_label(want_levels, want_regroup, rl, baseline);
+                    let from = state_label(opts, want_levels, want_regroup, baseline.is_some());
                     if level == 1 {
                         // Fusion is unusable: drop to the SGI-like baseline,
                         // then to the original program.
@@ -781,7 +815,7 @@ fn drive(
                             report.fallbacks.push(Fallback {
                                 pass: Pass::Fusion { level },
                                 from,
-                                to: state_label(0, false, rl, false),
+                                to: state_label(opts, 0, false, false),
                                 cause,
                             });
                             stopped = true;
@@ -792,27 +826,8 @@ fn drive(
                                 to: "sgi-like".into(),
                                 cause,
                             });
-                            match attempt(
-                                &mut program,
-                                checker,
-                                tracer,
-                                Pass::Baseline,
-                                &default_layout,
-                                |p| Ok(baseline_fuse(p)),
-                            ) {
-                                Ok(rep) => {
-                                    baseline = true;
-                                    baseline_rep = rep;
-                                }
-                                Err(cause2) => {
-                                    report.fallbacks.push(Fallback {
-                                        pass: Pass::Baseline,
-                                        from: "sgi-like".into(),
-                                        to: "original".into(),
-                                        cause: cause2,
-                                    });
-                                }
-                            }
+                            baseline =
+                                baseline_rung(&mut program, checker, tracer, safety, &mut report)?;
                         }
                     } else {
                         // Keep the levels already proven good.
@@ -820,7 +835,7 @@ fn drive(
                         report.fallbacks.push(Fallback {
                             pass: Pass::Fusion { level },
                             from,
-                            to: state_label(kept, want_regroup, rl, baseline),
+                            to: state_label(opts, kept, want_regroup, baseline.is_some()),
                             cause,
                         });
                         want_levels = kept;
@@ -834,7 +849,7 @@ fn drive(
         }
     }
 
-    let mut plan: Option<RegroupPlan> = None;
+    let mut plan = None;
     let mut regroup_rep = RegroupReport::default();
     if want_regroup && !stopped {
         let pad = opts.regroup_opts.pad_bytes;
@@ -857,37 +872,25 @@ fn drive(
         );
         match res {
             Ok(p) => {
+                regroup_rep = RegroupReport::of(&program, &p);
                 tracer.annotate_last(|| {
                     format!(
                         "{} arrays -> {} allocations",
-                        program.arrays.iter().filter(|a| !a.is_scalar()).count(),
-                        p.groups.iter().filter(|g| g.rank > 0).count()
+                        regroup_rep.arrays, regroup_rep.allocations
                     )
                 });
-                regroup_rep = RegroupReport {
-                    arrays: program.arrays.iter().filter(|a| !a.is_scalar()).count(),
-                    allocations: p.groups.iter().filter(|g| g.rank > 0).count(),
-                    groups: Vec::new(),
-                };
-                for g in &p.groups {
-                    if g.members.len() >= 2 {
-                        let names =
-                            g.members.iter().map(|&m| program.array(m).name.clone()).collect();
-                        regroup_rep.groups.push((names, String::new()));
-                    }
-                }
                 plan = Some(p);
             }
             Err(cause) => {
                 if safety.strict {
                     return Err(cause);
                 }
-                let from = state_label(want_levels, true, rl, baseline);
+                let from = state_label(opts, want_levels, true, baseline.is_some());
                 want_regroup = false;
                 report.fallbacks.push(Fallback {
                     pass: Pass::Regroup,
                     from,
-                    to: state_label(want_levels, false, rl, baseline),
+                    to: state_label(opts, want_levels, false, baseline.is_some()),
                     cause,
                 });
             }
@@ -895,20 +898,51 @@ fn drive(
     }
 
     checker.finish(&mut report);
-    report.strategy = state_label(want_levels, want_regroup, rl, baseline);
+    report.strategy = state_label(opts, want_levels, want_regroup, baseline.is_some());
     Ok(OptimizedProgram {
         program,
         prelim: prelim_rep,
         fusion: fusion_rep,
-        baseline: baseline_rep,
+        pad_bytes: if baseline.is_some() {
+            BASELINE_PAD_BYTES
+        } else {
+            opts.regroup_opts.pad_bytes
+        },
+        baseline: baseline.unwrap_or_default(),
         plan,
         regroup: regroup_rep,
-        pad_bytes: if baseline { BASELINE_PAD_BYTES } else { opts.regroup_opts.pad_bytes },
         robustness: report,
     })
 }
 
-/// Fail-safe counterpart of [`crate::pipeline::apply_strategy`].
+/// The SGI-like rung: the baseline's report when its pass is kept. When it
+/// is rolled back the program stays as it was, which is recorded as a fall
+/// to the original strategy (or, in strict mode, returned as the error).
+fn baseline_rung(
+    program: &mut Program,
+    checker: &mut Checker<'_>,
+    tracer: &mut Tracer,
+    safety: &SafetyOptions,
+    report: &mut RobustnessReport,
+) -> Result<Option<BaselineReport>, GcrError> {
+    match attempt(program, checker, tracer, Pass::Baseline, &default_layout, |p| {
+        Ok(baseline_fuse(p))
+    }) {
+        Ok(rep) => Ok(Some(rep)),
+        Err(cause) if safety.strict => Err(cause),
+        Err(cause) => {
+            report.fallbacks.push(Fallback {
+                pass: Pass::Baseline,
+                from: "sgi-like".into(),
+                to: "original".into(),
+                cause,
+            });
+            Ok(None)
+        }
+    }
+}
+
+/// Fail-safe counterpart of [`apply_strategy`].
 pub fn apply_strategy_checked(
     prog: &Program,
     strategy: Strategy,
@@ -931,48 +965,7 @@ pub fn apply_strategy_checked_traced(
     // per-request `catch_unwind`) can absorb. Inert unless the environment
     // arms it.
     gcr_par::fault::maybe_panic(gcr_par::fault::FaultPoint::PanicInPass);
-    if strategy == Strategy::Sgi {
-        gcr_ir::validate::validate(prog)
-            .map_err(|errors| GcrError::Validate { stage: "input".into(), errors })?;
-        let mut report = RobustnessReport::default();
-        let mut checker = Checker::new(prog, safety);
-        let mut program = prog.clone();
-        let mut baseline_rep = BaselineReport::default();
-        let mut pad = BASELINE_PAD_BYTES;
-        match attempt(&mut program, &mut checker, tracer, Pass::Baseline, &default_layout, |p| {
-            Ok(baseline_fuse(p))
-        }) {
-            Ok(rep) => {
-                baseline_rep = rep;
-                report.strategy = "sgi-like".into();
-            }
-            Err(cause) => {
-                if safety.strict {
-                    return Err(cause);
-                }
-                report.fallbacks.push(Fallback {
-                    pass: Pass::Baseline,
-                    from: "sgi-like".into(),
-                    to: "original".into(),
-                    cause,
-                });
-                report.strategy = "original".into();
-                pad = 0;
-            }
-        }
-        checker.finish(&mut report);
-        return Ok(OptimizedProgram {
-            program,
-            prelim: PrelimReport::default(),
-            fusion: FusionReport::default(),
-            baseline: baseline_rep,
-            plan: None,
-            regroup: RegroupReport::default(),
-            pad_bytes: pad,
-            robustness: report,
-        });
-    }
-    optimize_checked_traced(prog, &strategy.options(), safety, tracer)
+    run(prog, &strategy.options(), Start::of(strategy), safety, tracer)
 }
 
 #[cfg(test)]
@@ -1005,16 +998,18 @@ for i = 2, N - 1 {
 ";
 
     /// The ladder checked pass by pass from the start, with no deferred
-    /// attempt: the reference [`optimize_checked_traced`] must agree with.
+    /// attempt: the reference [`apply_strategy_checked_traced`] must agree
+    /// with.
     fn per_pass(
         prog: &Program,
-        opts: &OptimizeOptions,
+        strategy: Strategy,
         safety: &SafetyOptions,
         tracer: &mut Tracer,
     ) -> Result<OptimizedProgram, GcrError> {
         gcr_ir::validate::validate(prog)
             .map_err(|errors| GcrError::Validate { stage: "input".into(), errors })?;
-        drive(prog, opts, safety, &mut Checker::new(prog, safety), tracer)
+        let (opts, start) = (strategy.options(), Start::of(strategy));
+        drive(prog, &opts, start, safety, &mut Checker::new(prog, safety), tracer)
     }
 
     /// Everything a run delivers, with the pass trace's timings zeroed.
@@ -1046,6 +1041,7 @@ for i = 2, N - 1 {
         let files = loop_files();
         assert!(files.len() >= 30, "{files:?}");
         let strategies = [
+            Strategy::Sgi,
             Strategy::FusionOnly { levels: 1 },
             Strategy::FusionOnly { levels: 3 },
             FULL,
@@ -1058,23 +1054,26 @@ for i = 2, N - 1 {
             Some(Pass::Fusion { level: 2 }),
             Some(Pass::Fusion { level: 3 }),
             Some(Pass::Regroup),
+            Some(Pass::Baseline),
         ];
+        let modes = [(false, true), (true, true), (false, false)];
         for path in &files {
             let src = std::fs::read_to_string(path).unwrap();
             let prog = gcr_frontend::parse(&src).unwrap();
             for strategy in strategies {
-                let opts = strategy.options();
                 for inject_fault in faults {
-                    for strict in [false, true] {
-                        let safety = SafetyOptions { strict, inject_fault, ..Default::default() };
+                    for (strict, fallback) in modes {
+                        let safety =
+                            SafetyOptions { strict, fallback, inject_fault, ..Default::default() };
                         let mut t1 = Tracer::enabled();
-                        let deferred = optimize_checked_traced(&prog, &opts, &safety, &mut t1);
+                        let deferred =
+                            apply_strategy_checked_traced(&prog, strategy, &safety, &mut t1);
                         let mut t2 = Tracer::enabled();
-                        let replayed = per_pass(&prog, &opts, &safety, &mut t2);
+                        let replayed = per_pass(&prog, strategy, &safety, &mut t2);
                         assert_eq!(
                             outcome(deferred, t1),
                             outcome(replayed, t2),
-                            "{} {strategy:?} {inject_fault:?} strict {strict}",
+                            "{} {strategy:?} {inject_fault:?} strict {strict} fallback {fallback}",
                             path.display()
                         );
                     }
@@ -1089,15 +1088,21 @@ for i = 2, N - 1 {
         let safety = SafetyOptions::default();
         let opts = FULL.options();
         let mut checker = Checker::new(&prog, &safety);
-        let opt =
-            check_delivered_or_replay(&prog, &opts, &safety, &mut checker, &mut Tracer::disabled())
-                .unwrap();
+        let opt = check_delivered_or_replay(
+            &prog,
+            &opts,
+            Start::Top,
+            &safety,
+            &mut checker,
+            &mut Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(opt.robustness.strategy, "fuse3+group");
         assert_eq!(opt.robustness.checks, 5, "prelim, fusion@1..3 and regroup");
         assert_eq!(checker.runs, 2);
         // Per pass, each of the five checkpoints runs it at both sizes.
         let mut checker = Checker::new(&prog, &safety);
-        drive(&prog, &opts, &safety, &mut checker, &mut Tracer::disabled()).unwrap();
+        drive(&prog, &opts, Start::Top, &safety, &mut checker, &mut Tracer::disabled()).unwrap();
         assert_eq!(checker.runs, 10);
     }
 
@@ -1108,9 +1113,15 @@ for i = 2, N - 1 {
             SafetyOptions { inject_fault: Some(Pass::Fusion { level: 2 }), ..Default::default() };
         let opts = FULL.options();
         let mut checker = Checker::new(&prog, &safety);
-        let opt =
-            check_delivered_or_replay(&prog, &opts, &safety, &mut checker, &mut Tracer::disabled())
-                .unwrap();
+        let opt = check_delivered_or_replay(
+            &prog,
+            &opts,
+            Start::Top,
+            &safety,
+            &mut checker,
+            &mut Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(opt.robustness.strategy, "fuse1+group");
         assert_eq!(opt.robustness.checks, 4, "prelim, fusion@1, fusion@2 and regroup");
         // The deferred check stops at the first size that mismatches (1);
@@ -1125,9 +1136,15 @@ for i = 2, N - 1 {
         let safety = SafetyOptions::default();
         let mut checker = Checker::new(&prog, &safety);
         let opts = Strategy::Original.options();
-        let opt =
-            check_delivered_or_replay(&prog, &opts, &safety, &mut checker, &mut Tracer::disabled())
-                .unwrap();
+        let opt = check_delivered_or_replay(
+            &prog,
+            &opts,
+            Start::Top,
+            &safety,
+            &mut checker,
+            &mut Tracer::disabled(),
+        )
+        .unwrap();
         assert_eq!(opt.robustness.checks, 0);
         assert_eq!(checker.runs, 0);
         assert!(checker.oracle.is_none(), "no pass, so no reference run either");

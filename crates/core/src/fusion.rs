@@ -52,11 +52,12 @@ pub struct FusionOptions {
     /// fuse only when alignment factor 0 satisfies every dependence, and 0
     /// is used (mere loop fusion without alignment).
     pub align: bool,
-    /// Budget on `GreedilyFuse` worklist steps across the whole run. When
-    /// it runs out, fusion stops where it is and the report's
-    /// `budget_exhausted` flag is set; `optimize_checked` surfaces this as
-    /// [`gcr_ir::GcrError::BudgetExceeded`]. The default is far above any
-    /// real program's needs.
+    /// Budget on `GreedilyFuse` worklist steps per fused level: each
+    /// level starts a fresh count. When it runs out, that level stops where
+    /// it is and the report's `budget_exhausted` flag is set;
+    /// `optimize_checked` surfaces this as
+    /// [`gcr_ir::GcrError::BudgetExceeded`] and rolls the level back. The
+    /// default is far above any real program's needs.
     pub max_steps: usize,
 }
 
@@ -136,22 +137,30 @@ pub fn loops_per_level(prog: &Program) -> Vec<usize> {
 /// assert!(text.contains("B[i+2] = g(A[i])"), "{text}");
 /// ```
 pub fn fuse_program(prog: &mut Program, opts: &FusionOptions) -> FusionReport {
-    let mut report = FusionReport {
-        loops_before: loops_per_level(prog),
-        fused: vec![0; opts.max_levels.max(1)],
-        ..Default::default()
-    };
-    let mut fuser = Fuser::new(prog, opts, &mut report, 1);
-    let body = std::mem::take(&mut prog.body);
-    prog.body = fuser.fuse_level(body);
-    if opts.max_levels > 1 {
-        let mut body = std::mem::take(&mut prog.body);
-        fuser.recurse(&mut body, 2);
-        prog.body = body;
+    let mut report = FusionReport { loops_before: loops_per_level(prog), ..Default::default() };
+    for level in 1..=opts.max_levels {
+        let rep = fuse_one_level(prog, opts, level);
+        merge_fusion(&mut report, level, rep);
     }
-    normalize(prog);
-    report.loops_after = loops_per_level(prog);
     report
+}
+
+/// Folds the report of [`fuse_one_level`] at `level` into the running
+/// report of a level-by-level fusion.
+pub(crate) fn merge_fusion(total: &mut FusionReport, level: usize, rep: FusionReport) {
+    if total.fused.len() < level {
+        total.fused.resize(level, 0);
+    }
+    total.fused[level - 1] += rep.fused.iter().sum::<usize>();
+    total.embedded += rep.embedded;
+    total.peeled += rep.peeled;
+    total.loops_after = rep.loops_after;
+    for w in rep.infusible {
+        if !total.infusible.contains(&w) {
+            total.infusible.push(w);
+        }
+    }
+    total.budget_exhausted |= rep.budget_exhausted;
 }
 
 /// Fuses exactly one loop level (1 = outermost), leaving other levels
@@ -265,8 +274,7 @@ impl<'r> Fuser<'r> {
         self.next_ident
     }
 
-    /// Descends to loops at exactly `target` depth and fuses their bodies
-    /// (the one-level counterpart of [`Fuser::recurse`]).
+    /// Descends to loops at exactly `target` depth and fuses their bodies.
     fn fuse_at_depth(&mut self, members: &mut [GuardedStmt], current: usize, target: usize) {
         for gs in members.iter_mut() {
             if let Stmt::Loop(l) = &mut gs.stmt {
@@ -279,22 +287,6 @@ impl<'r> Fuser<'r> {
                     self.enclosing = saved;
                 } else {
                     self.fuse_at_depth(&mut l.body, current + 1, target);
-                }
-            }
-        }
-    }
-
-    fn recurse(&mut self, members: &mut [GuardedStmt], level: usize) {
-        for gs in members.iter_mut() {
-            if let Stmt::Loop(l) = &mut gs.stmt {
-                self.level = level - 1;
-                let saved = self.enclosing.take();
-                self.enclosing = Some((l.var, l.range()));
-                let body = std::mem::take(&mut l.body);
-                l.body = self.fuse_level(body);
-                self.enclosing = saved;
-                if level < self.opts.max_levels {
-                    self.recurse(&mut l.body, level + 1);
                 }
             }
         }

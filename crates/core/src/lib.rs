@@ -19,7 +19,8 @@
 //! [`prelim`] holds the Section 4.1 preliminary passes (loop distribution,
 //! array splitting + loop unrolling, constant folding);
 //! [`baseline`] the conservative fusion + padding stand-in for the SGI
-//! MIPSpro compiler; [`pipeline`] the end-to-end driver.
+//! MIPSpro compiler; [`pipeline`] the strategies of the evaluation and
+//! [`checked`] the one ladder that runs their passes.
 //!
 //! The fail-safe entry point is [`optimize_checked`] (and its
 //! [`Tracer`]-carrying variant [`optimize_checked_traced`], which records a
@@ -64,6 +65,6 @@ pub use checked::{
     optimize_checked_traced, Fallback, Pass, RobustnessReport, SafetyOptions,
 };
 pub use fusion::{fuse_program, FusionOptions, FusionReport};
-pub use pipeline::{optimize, OptimizeOptions, OptimizedProgram};
+pub use pipeline::{OptimizeOptions, OptimizedProgram};
 pub use regroup::{regroup, RegroupOptions, RegroupReport};
 pub use trace::{IrSize, PassEvent, Tracer};

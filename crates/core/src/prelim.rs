@@ -46,14 +46,15 @@ pub fn preliminary(prog: &mut Program, small_dim_limit: i64) -> PrelimReport {
 pub fn unroll_const_loops(prog: &mut Program, limit: i64) -> usize {
     let mut count = 0;
     let mut body = std::mem::take(&mut prog.body);
-    unroll_list(&mut body, None, limit, &mut count);
+    unroll_list(prog, &mut body, None, limit, &mut count);
     prog.body = body;
     count
 }
 
 /// Unrolls inside `stmts`, the body of the loop over `parent` (`None` at
-/// top level).
+/// top level), taken out of `prog`.
 fn unroll_list(
+    prog: &mut Program,
     stmts: &mut Vec<GuardedStmt>,
     parent: Option<gcr_ir::VarId>,
     limit: i64,
@@ -62,10 +63,12 @@ fn unroll_list(
     let mut out = Vec::with_capacity(stmts.len());
     for mut gs in stmts.drain(..) {
         if let Stmt::Loop(l) = &mut gs.stmt {
-            unroll_list(&mut l.body, Some(l.var), limit, count);
+            unroll_list(prog, &mut l.body, Some(l.var), limit, count);
             if let (Some(lo), Some(hi)) = (l.lo.as_const(), l.hi.as_const()) {
                 if hi >= lo && hi - lo < limit && unrollable(l) {
-                    if let Some(hoisted) = hoist_members(&gs.guard, &gs.outer, l, parent, lo, hi) {
+                    if let Some(hoisted) =
+                        hoist_members(prog, &gs.guard, &gs.outer, l, parent, lo, hi)
+                    {
                         *count += 1;
                         out.extend(hoisted);
                         continue;
@@ -80,9 +83,12 @@ fn unroll_list(
 
 /// The members of the constant-trip loop `l` — itself a member of the
 /// loop over `parent`, under `guard` and `outer` — instantiated at every
-/// value of its variable, as members of that enclosing loop. `None` when a
-/// member's activity cannot be expressed there.
+/// value of its variable, as members of that enclosing loop. Every copy of
+/// a member loop after the first gets fresh loop variables from `prog`, so
+/// no two loops share one. `None` when a member's activity cannot be
+/// expressed there.
 fn hoist_members(
+    prog: &mut Program,
     guard: &Option<Range>,
     outer: &[(gcr_ir::VarId, Range)],
     l: &Loop,
@@ -90,9 +96,11 @@ fn hoist_members(
     lo: i64,
     hi: i64,
 ) -> Option<Vec<GuardedStmt>> {
+    // (copy number, whether an earlier copy of the member was kept, copy)
     let mut hoisted = Vec::new();
+    let mut kept = vec![false; l.body.len()];
     for x in lo..=hi {
-        for m in &l.body {
+        for (mi, m) in l.body.iter().enumerate() {
             // A member guard ranges over the unrolled variable and resolves
             // statically at `x` (`unrollable` guarantees constant bounds).
             if let Some(g) = &m.guard {
@@ -119,10 +127,33 @@ fn hoist_members(
                     outer.push((*v, range.clone()));
                 }
             }
-            hoisted.push(GuardedStmt { stmt, guard, outer });
+            hoisted.push((
+                x - lo,
+                std::mem::replace(&mut kept[mi], true),
+                GuardedStmt { stmt, guard, outer },
+            ));
         }
     }
-    Some(hoisted)
+    let copies = hoisted.into_iter().map(|(copy, again, mut gs)| {
+        if again {
+            freshen_loop_vars(prog, &mut gs.stmt, copy);
+        }
+        gs
+    });
+    Some(copies.collect())
+}
+
+/// Gives every loop in `stmt`, unrolled copy number `copy`, a fresh
+/// variable named after the old one and renames its uses.
+fn freshen_loop_vars(prog: &mut Program, stmt: &mut Stmt, copy: i64) {
+    let Stmt::Loop(l) = stmt else { return };
+    let old = l.var;
+    l.var = prog.fresh_var(format!("{}_{copy}", prog.var(old).name));
+    let new = l.var;
+    for m in &mut l.body {
+        freshen_loop_vars(prog, &mut m.stmt, copy);
+    }
+    subst::rename_shift_var(stmt, old, new, 0);
 }
 
 /// Intersection of two ranges over one variable, when each pair of bounds
@@ -541,6 +572,36 @@ for i = 2, N - 1 {
         assert_eq!(l.body[0].guard, Some(Range::new(LinExpr::konst(4), l.hi.add_const(-1))));
         assert_eq!(l.body[3].guard, Some(Range::new(LinExpr::konst(3), l.hi.add_const(-2))));
         assert!(matches!(l.body[5].stmt, Stmt::Loop(_)));
+        for n in [8, 12] {
+            equivalent(&orig, &p, n);
+        }
+    }
+
+    #[test]
+    fn unrolled_copies_of_an_inner_loop_get_their_own_variables() {
+        let src = "
+program u
+param N
+array A1[N]
+
+for i0 = 4, 8 {
+  for i1 = 1, N {
+    for i2 = 1, N {
+      A1[i2] = i0 - 1.0 + A1[i1]
+    }
+  }
+}
+";
+        let orig = parse(src).unwrap();
+        let mut p = orig.clone();
+        assert_eq!(unroll_const_loops(&mut p, 8), 1);
+        assert_eq!(p.body.len(), 5);
+        gcr_ir::validate::validate(&p).unwrap_or_else(|e| panic!("{e:?}"));
+        let text = gcr_ir::print::print_program(&p);
+        assert!(
+            text.contains("for i1_3 = 1, N") && text.contains("A1[i2_3] = 7 - 1.0 + A1[i1_3]"),
+            "{text}"
+        );
         for n in [8, 12] {
             equivalent(&orig, &p, n);
         }

@@ -30,9 +30,8 @@
 use gcr_analysis::access::collect_accesses;
 use gcr_exec::layout::{ArrayLayout, DataLayout, ELEM_BYTES};
 use gcr_ir::{ArrayId, ParamBinding, Program, Stmt, Subscript, VarId};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// How aggressively to regroup.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,8 +64,40 @@ pub struct RegroupReport {
     pub arrays: usize,
     /// Number of top-level allocations after grouping ("new arrays").
     pub allocations: usize,
-    /// Groups with ≥ 2 members: (member names, innermost grouped level).
+    /// Groups with ≥ 2 members: (member names, innermost grouped level —
+    /// `"element"` or `"dimension d"`), whichever entry point planned them.
     pub groups: Vec<(Vec<String>, String)>,
+}
+
+impl RegroupReport {
+    /// The statistics of `plan` over `prog`.
+    pub(crate) fn of(prog: &Program, plan: &RegroupPlan) -> RegroupReport {
+        let mut report = RegroupReport {
+            arrays: prog.arrays.iter().filter(|a| !a.is_scalar()).count(),
+            allocations: plan.groups.iter().filter(|g| g.rank > 0).count(),
+            groups: Vec::new(),
+        };
+        for g in &plan.groups {
+            if g.members.len() >= 2 {
+                let names = g.members.iter().map(|&m| prog.array(m).name.clone()).collect();
+                let mut innermost = g.rank;
+                for d in (0..g.rank).rev() {
+                    if g.keys.iter().all(|kv| kv[d] == g.keys[0][d]) {
+                        innermost = d;
+                    } else {
+                        break;
+                    }
+                }
+                let desc = if innermost == 0 {
+                    "element".to_string()
+                } else {
+                    format!("dimension {innermost}")
+                };
+                report.groups.push((names, desc));
+            }
+        }
+        report
+    }
 }
 
 /// The symbolic regrouping decision.
@@ -98,17 +129,13 @@ pub fn plan(prog: &Program, opts: &RegroupOptions) -> RegroupPlan {
     let max_rank = prog.arrays.iter().map(|a| a.rank()).max().unwrap_or(0);
     let mut phases_per_level: Vec<Vec<Vec<bool>>> = Vec::new();
     collect_phases(prog, max_rank, &mut phases_per_level);
-    // Hash each array's phase membership at each level.
+    // Each array's phase membership at each level, as an exact id.
+    let mut membership = Interner::default();
     let mut phase_sets: Vec<Vec<u64>> = vec![Vec::new(); n];
     for (lvl, phases) in phases_per_level.iter().enumerate() {
         for (arr, sets) in phase_sets.iter_mut().enumerate() {
-            let mut h = DefaultHasher::new();
-            for (pi, ph) in phases.iter().enumerate() {
-                if ph[arr] {
-                    (lvl, pi).hash(&mut h);
-                }
-            }
-            sets.push(h.finish());
+            let member_of: Vec<usize> = (0..phases.len()).filter(|&pi| phases[pi][arr]).collect();
+            sets.push(membership.id((lvl, member_of)));
         }
     }
     // --- storage-order (transposed traversal) marks -------------------------
@@ -123,6 +150,8 @@ pub fn plan(prog: &Program, opts: &RegroupOptions) -> RegroupPlan {
     let mut class_list: Vec<(Vec<gcr_ir::LinExpr>, Vec<ArrayId>)> = classes.into_iter().collect();
     class_list.sort_by_key(|(_, m)| m[0]);
 
+    let mut togetherness = Interner::default();
+    let mut cumulative = Interner::default();
     let mut groups = Vec::new();
     for (_, members) in class_list {
         let rank = prog.array(members[0]).rank();
@@ -131,26 +160,20 @@ pub fn plan(prog: &Program, opts: &RegroupOptions) -> RegroupPlan {
             let mut kv = vec![0u64; rank + 1];
             for (d, key) in kv.iter_mut().enumerate().take(rank) {
                 // Grouping at dim d needs togetherness down to loop level
-                // rank − d (level 1 = outermost loops).
+                // rank − d (level 1 = outermost loops); a transposed
+                // traversal keeps the array apart at d.
                 let depth_needed = rank - d;
-                let mut h = DefaultHasher::new();
-                for phases in phase_sets[m.index()].iter().take(depth_needed) {
-                    phases.hash(&mut h);
-                }
-                if ungroupable.contains(&(m, d)) {
-                    (m.index() as u64, u64::MAX).hash(&mut h);
-                }
-                *key = h.finish();
+                let sets: Vec<u64> =
+                    phase_sets[m.index()].iter().take(depth_needed).copied().collect();
+                let apart = ungroupable.contains(&(m, d)).then_some(m);
+                *key = togetherness.id((sets, apart));
             }
             keys.push(kv);
         }
-        // Enforce cumulativity: mix each outer key into the next inner one.
+        // Enforce cumulativity: fold each outer key into the next inner one.
         for kv in &mut keys {
             for d in (0..rank).rev() {
-                let outer = kv[d + 1];
-                let mut h = DefaultHasher::new();
-                (outer, kv[d]).hash(&mut h);
-                kv[d] = h.finish();
+                kv[d] = cumulative.id((kv[d + 1], kv[d], None));
             }
         }
         match opts.level {
@@ -163,10 +186,9 @@ pub fn plan(prog: &Program, opts: &RegroupOptions) -> RegroupPlan {
                 }
             }
             RegroupLevel::AvoidInnermost => {
+                // A key of its own at the element level for every member.
                 for (m, kv) in keys.iter_mut().enumerate() {
-                    let mut h = DefaultHasher::new();
-                    (kv[0], m as u64, 0xbeefu64).hash(&mut h);
-                    kv[0] = h.finish();
+                    kv[0] = cumulative.id((kv[1], kv[0], Some(m)));
                 }
             }
         }
@@ -198,6 +220,23 @@ pub fn plan(prog: &Program, opts: &RegroupOptions) -> RegroupPlan {
         }
     }
     RegroupPlan { groups }
+}
+
+/// Dense ids for exact keys: two keys get the same id exactly when they are
+/// equal.
+struct Interner<K>(HashMap<K, u64>);
+
+impl<K> Default for Interner<K> {
+    fn default() -> Self {
+        Interner(HashMap::new())
+    }
+}
+
+impl<K: Hash + Eq> Interner<K> {
+    fn id(&mut self, key: K) -> u64 {
+        let next = self.0.len() as u64;
+        *self.0.entry(key).or_insert(next)
+    }
 }
 
 /// Records, per loop level, which arrays each loop (phase) accesses.
@@ -359,30 +398,7 @@ pub fn regroup(
     opts: &RegroupOptions,
 ) -> (DataLayout, RegroupReport) {
     let p = plan(prog, opts);
-    let mut report = RegroupReport {
-        arrays: prog.arrays.iter().filter(|a| !a.is_scalar()).count(),
-        allocations: p.groups.iter().filter(|g| g.rank > 0).count(),
-        groups: Vec::new(),
-    };
-    for g in &p.groups {
-        if g.members.len() >= 2 {
-            let names = g.members.iter().map(|&m| prog.array(m).name.clone()).collect();
-            let mut innermost = g.rank;
-            for d in (0..g.rank).rev() {
-                if g.keys.iter().all(|kv| kv[d] == g.keys[0][d]) {
-                    innermost = d;
-                } else {
-                    break;
-                }
-            }
-            let desc = if innermost == 0 {
-                "element".to_string()
-            } else {
-                format!("dimension {innermost}")
-            };
-            report.groups.push((names, desc));
-        }
-    }
+    let report = RegroupReport::of(prog, &p);
     (layout(prog, &p, binding, opts.pad_bytes), report)
 }
 
