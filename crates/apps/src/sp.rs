@@ -208,6 +208,7 @@ mod tests {
                 regroup: gcr_core::regroup::RegroupLevel::Multi,
             },
         );
+        assert!(!opt.robustness.degraded(), "{:?}", opt.robustness.describe());
         let bind = gcr_ir::ParamBinding::new(vec![10]);
         let mut m1 = gcr_exec::Machine::new(&orig, bind.clone());
         let layout = opt.layout(&bind);

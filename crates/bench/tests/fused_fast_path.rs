@@ -52,6 +52,11 @@ fn optimizer_output_stays_on_the_tape() {
     for (name, prog, default_size) in &programs {
         for strategy in strategies() {
             let opt = apply_strategy(prog, strategy);
+            assert!(
+                !opt.robustness.degraded(),
+                "{name} {strategy:?}: {:?}",
+                opt.robustness.describe()
+            );
             for n in [12, 18, *default_size] {
                 let binding = ParamBinding::new(vec![n; prog.params.len()]);
                 let layout = opt.layout(&binding);
@@ -96,6 +101,7 @@ fn fused_apps_batch_and_match_the_interpreter() {
     let fuse_group = Strategy::from_name("fuse+group").unwrap();
     for (prog, n) in [(gcr_apps::swim::program(), 20), (gcr_apps::sp::program(), 9)] {
         let opt = apply_strategy(&prog, fuse_group);
+        assert!(!opt.robustness.degraded(), "{}: {:?}", prog.name, opt.robustness.describe());
         let binding = ParamBinding::new(vec![n; prog.params.len()]);
         let machine = |engine: ExecEngine| {
             Machine::with_layout(&opt.program, binding.clone(), opt.layout(&binding))

@@ -25,6 +25,13 @@ fn strategies_preserve_work() {
         let mut baseline = None;
         for strategy in STRATEGIES {
             let opt = apply_strategy(&prog, strategy);
+            assert!(
+                !opt.robustness.degraded(),
+                "{} {:?}: {:?}",
+                app.name,
+                strategy,
+                opt.robustness.describe()
+            );
             global_cache_reuse::ir::validate::validate(&opt.program)
                 .unwrap_or_else(|e| panic!("{} {:?}: {e:?}", app.name, strategy));
             let layout = opt.layout(&bind);
@@ -68,6 +75,7 @@ fn full_pipeline_is_semantics_preserving() {
             &prog,
             Strategy::FusionRegroup { levels: 3, regroup: RegroupLevel::Multi },
         );
+        assert!(!opt.robustness.degraded(), "{}: {:?}", app.name, opt.robustness.describe());
         let mut m1 = Machine::new(&prog, bind.clone());
         let layout = opt.layout(&bind);
         let mut m2 = Machine::with_layout(&opt.program, bind, layout);
@@ -120,6 +128,7 @@ fn transformed_programs_reparse() {
     for app in gcr_apps::evaluation_apps() {
         let (prog, _) = (app.build)(12);
         let opt = apply_strategy(&prog, Strategy::FusionOnly { levels: 3 });
+        assert!(!opt.robustness.degraded(), "{}: {:?}", app.name, opt.robustness.describe());
         let text = global_cache_reuse::ir::print::print_program(&opt.program);
         let reparsed = global_cache_reuse::frontend::parse(&text)
             .unwrap_or_else(|e| panic!("{}: reparse failed: {e}\n{text}", app.name));
@@ -150,6 +159,13 @@ fn transformed_programs_stay_in_bounds() {
         for strategy in STRATEGIES {
             let (prog, _) = (app.build)(12);
             let opt = apply_strategy(&prog, strategy);
+            assert!(
+                !opt.robustness.degraded(),
+                "{} {:?}: {:?}",
+                app.name,
+                strategy,
+                opt.robustness.describe()
+            );
             let issues = global_cache_reuse::analysis::bounds::check_bounds(&opt.program);
             assert!(issues.is_empty(), "{} {:?}: {issues:?}", app.name, strategy);
         }

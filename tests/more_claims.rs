@@ -9,6 +9,12 @@ use global_cache_reuse::opt::regroup::RegroupLevel;
 fn cycles(app: &gcr_apps::AppSpec, strategy: Strategy) -> f64 {
     let (prog, bind) = (app.build)(app.default_size);
     let opt = global_cache_reuse::opt::pipeline::apply_strategy(&prog, strategy);
+    assert!(
+        !opt.robustness.degraded(),
+        "{} {strategy:?}: {:?}",
+        app.name,
+        opt.robustness.describe()
+    );
     let layout = opt.layout(&bind);
     let mut m = Machine::with_layout(&opt.program, bind, layout);
     let mut sink =
@@ -95,6 +101,12 @@ fn global_strategy_beats_baseline_on_l2() {
         let (prog, bind) = (app.build)(app.default_size);
         let l2 = |strategy| {
             let opt = global_cache_reuse::opt::pipeline::apply_strategy(&prog, strategy);
+            assert!(
+                !opt.robustness.degraded(),
+                "{} {strategy:?}: {:?}",
+                app.name,
+                opt.robustness.describe()
+            );
             let layout = opt.layout(&bind);
             let mut m = Machine::with_layout(&opt.program, bind.clone(), layout);
             let mut sink =

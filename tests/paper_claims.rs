@@ -13,6 +13,12 @@ use global_cache_reuse::reuse::TraceCapture;
 fn measure(app: &gcr_apps::AppSpec, strategy: Strategy, size: i64) -> (f64, [u64; 3]) {
     let (prog, bind) = (app.build)(size);
     let opt = apply_strategy(&prog, strategy);
+    assert!(
+        !opt.robustness.degraded(),
+        "{} {strategy:?}: {:?}",
+        app.name,
+        opt.robustness.describe()
+    );
     let layout = opt.layout(&bind);
     let mut m = Machine::with_layout(&opt.program, bind, layout);
     let mut sink =
@@ -92,6 +98,7 @@ fn sp_transformation_statistics() {
     let orig = gcr_apps::sp::program();
     assert_eq!(orig.arrays.iter().filter(|a| !a.is_scalar()).count(), 15);
     let opt = apply_strategy(&orig, NEW);
+    assert!(!opt.robustness.degraded(), "{:?}", opt.robustness.describe());
     let before = opt.fusion.loops_before[0];
     let after = opt.fusion.loops_after[0];
     assert!(before >= 60, "distribution creates many level-1 loops: {before}");

@@ -127,6 +127,7 @@ proptest! {
             &orig,
             OptStrategy::FusionRegroup { levels: 2, regroup: RegroupLevel::Multi },
         );
+        prop_assert!(!opt.robustness.degraded(), "{:?}", opt.robustness.describe());
         let bind = ParamBinding::new(vec![14]);
         let layout = opt.layout(&bind);
         let (a, b) = (run(&orig, None, 14), run(&opt.program, Some(layout), 14));
@@ -138,6 +139,7 @@ proptest! {
     fn baseline_preserves_semantics(items in proptest::collection::vec(item_strategy(), 1..6)) {
         let orig = build(&items);
         let opt = apply_strategy(&orig, OptStrategy::Sgi);
+        prop_assert!(!opt.robustness.degraded(), "{:?}", opt.robustness.describe());
         let bind = ParamBinding::new(vec![12]);
         let layout = opt.layout(&bind);
         let (a, b) = (run(&orig, None, 12), run(&opt.program, Some(layout), 12));
@@ -334,6 +336,7 @@ proptest! {
                 regroup: RegroupLevel::Multi,
             },
         );
+        prop_assert!(!opt.robustness.degraded(), "{:?}", opt.robustness.describe());
         let bind = ParamBinding::new(vec![13]);
         let layout = opt.layout(&bind);
         let (a, b) = (run(&orig, None, 13), run(&opt.program, Some(layout), 13));
